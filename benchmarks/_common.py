@@ -48,6 +48,18 @@ def record(name: str, title: str, body: str) -> str:
     return text
 
 
+def result_path(json_path: str, smoke: bool) -> str:
+    """Where a result is written: smoke results go to ``bench_results/``.
+
+    Full results land at ``json_path`` (the checked-in ``BENCH_*.json``
+    at the repo root); a smoke result keeps the file name but moves
+    under :data:`RESULTS_DIR`, so it can never overwrite a full one.
+    """
+    if not smoke:
+        return json_path
+    return os.path.join(RESULTS_DIR, os.path.basename(json_path))
+
+
 def write_result(json_path: str, payload: Mapping[str, object],
                  gates: Mapping[str, object]) -> int:
     """Finalize one benchmark's JSON artifact with boolean gating.
@@ -56,9 +68,11 @@ def write_result(json_path: str, payload: Mapping[str, object],
     coerced to a real ``bool`` (a truthy string or count can never
     masquerade as a passing gate in the artifact), ``gates`` and the
     derived top-level ``pass`` are stamped onto the payload, the JSON
-    is written with stable formatting (indent 2, trailing newline), and
-    the return value is the process exit code — 0 on pass, 1 on any
-    gate miss — so ``raise SystemExit(main())`` fails CI on a miss.
+    is written with stable formatting (indent 2, trailing newline) to
+    :func:`result_path` (so a ``"smoke": true`` payload goes to
+    ``bench_results/``), and the return value is the process exit code
+    — 0 on pass, 1 on any gate miss — so ``raise SystemExit(main())``
+    fails CI on a miss.
     """
     coerced: Dict[str, bool] = {name: bool(value)
                                 for name, value in gates.items()}
@@ -66,7 +80,9 @@ def write_result(json_path: str, payload: Mapping[str, object],
     finalized = dict(payload)
     finalized["gates"] = coerced
     finalized["pass"] = gate_pass
-    with open(json_path, "w") as handle:
+    path = result_path(json_path, bool(payload.get("smoke")))
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
         json.dump(finalized, handle, indent=2)
         handle.write("\n")
     return 0 if gate_pass else 1

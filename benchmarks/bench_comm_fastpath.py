@@ -35,7 +35,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import format_table, record, write_result  # noqa: E402
+from _common import format_table, record, result_path, write_result  # noqa: E402
 
 from repro.actions.builtins import (  # noqa: E402
     sendphoto_profile,
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     record("comm_fastpath",
            "Comm fast path: probe/connect amortization and batch latency",
            table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}")
+           f"\nJSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     return exit_code
 
 

@@ -36,7 +36,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import format_table, record, write_result  # noqa: E402
+from _common import format_table, record, result_path, write_result  # noqa: E402
 
 from repro.actions.request import ActionRequest  # noqa: E402
 from repro.core.config import EngineConfig, RetryPolicy  # noqa: E402
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     record("fault_tolerance",
            "Fault tolerance: serviced fraction under random outages",
            table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}")
+           f"\nJSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     return exit_code
 
 

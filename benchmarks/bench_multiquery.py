@@ -2,15 +2,17 @@
 
 Registers a large population of AQs over one sensor fleet — the
 pervasive-computing regime where thousands of applications watch the
-same few physical tables — and drives synthetic scan rows through both
-matching paths of the continuous executor:
+same few physical tables — and drives synthetic scan rows through two
+executors:
 
-* **scan-all** (``predicate_index=False``): every poll evaluates every
-  query's event predicate against every row, O(queries x rows).
-* **indexed** (``predicate_index=True``): each row is routed through
-  the per-(table, attribute) interval/point index to exactly the
-  queries whose bands admit it; only non-indexable residuals fall back
-  to evaluation.
+* **scan-all**: the brute-force oracle from the test suite
+  (``tests.query.reference.ScanAllExecutor``) evaluates every query's
+  event predicate against every row with the tree-walking evaluator,
+  O(queries x rows).
+* **indexed**: the engine's own executor routes each row through the
+  per-(table, attribute) interval/point index to exactly the queries
+  whose bands admit it; only non-indexable residuals run, as compiled
+  closures.
 
 The query mix exercises every band shape: 93% narrow intervals on
 ``temperature``, 3% point predicates on ``light``, 3% open-ended
@@ -40,9 +42,10 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import format_table, record, write_result  # noqa: E402
+from _common import format_table, record, result_path, write_result  # noqa: E402
 
 from repro import (  # noqa: E402
     AortaEngine,
@@ -54,6 +57,7 @@ from repro import (  # noqa: E402
 from repro.comm.tuples import DeviceTuple  # noqa: E402
 from repro.plan.planner import ContinuousPlan  # noqa: E402
 from repro.query import BooleanOp, ColumnRef, Comparison, Literal  # noqa: E402
+from tests.query.reference import scan_all_engines  # noqa: E402
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..",
                          "BENCH_multiquery.json")
@@ -132,13 +136,18 @@ def make_rows(n_sensors: int):
 def build_engine(indexed: bool, n_queries: int):
     """An engine with two cameras and ``n_queries`` registered AQs.
 
+    ``indexed=False`` builds it with the scan-all oracle executor.
     Plans are constructed directly (no SQL parse) so registration time
     measures the executor, and the simulation never runs — detection is
     driven synchronously on synthetic rows.
     """
     env = Environment()
-    config = EngineConfig(predicate_index=indexed, probing=False)
-    engine = AortaEngine(env, config=config)
+    config = EngineConfig(probing=False)
+    if indexed:
+        engine = AortaEngine(env, config=config)
+    else:
+        with scan_all_engines():
+            engine = AortaEngine(env, config=config)
     engine.add_device(PanTiltZoomCamera(env, "cam1", Point(0.0, 0.0),
                                         ip_address="10.0.0.1"))
     engine.add_device(PanTiltZoomCamera(env, "cam2", Point(50.0, 0.0),
@@ -165,15 +174,8 @@ def build_engine(indexed: bool, n_queries: int):
 
 
 def detect(engine, rows) -> int:
-    """One detection pass over ``rows`` on the engine's configured path."""
-    continuous = engine.continuous
-    if engine.config.predicate_index:
-        return continuous._detect_indexed("sensor", rows)
-    emitted = 0
-    for query in list(continuous.catalog.readers("sensor")):
-        if query.enabled:
-            emitted += continuous._detect_events(query, rows)
-    return emitted
+    """One detection pass over ``rows`` by the engine's executor."""
+    return engine.continuous._detect("sensor", rows)
 
 
 def summarize(engine):
@@ -297,7 +299,7 @@ def main(argv=None) -> int:
         f"identical detections/emissions across paths: {identity}\n"
         f"deterministic rebuild: {deterministic}\n"
         f"verdict: {verdict}\n"
-        f"JSON: {os.path.relpath(JSON_PATH)}")
+        f"JSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     record("multiquery", "Predicate-indexed multi-query matching", body)
     return exit_code
 

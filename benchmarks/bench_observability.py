@@ -32,7 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import record, write_result  # noqa: E402
+from _common import record, result_path, write_result  # noqa: E402
 
 from repro.core.tracing import EngineTracer  # noqa: E402
 from repro.obs import Observability  # noqa: E402
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
         f"(limit {MAX_OVERHEAD * 100.0:.0f}%"
         f"{', not gated in smoke' if args.smoke else ''})\n"
         f"verdict: {verdict}\n"
-        f"JSON: {os.path.relpath(JSON_PATH)}")
+        f"JSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     record("observability", "Observability overhead and invariance", body)
     return exit_code
 

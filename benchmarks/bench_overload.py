@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import format_table, record, write_result  # noqa: E402
+from _common import format_table, record, result_path, write_result  # noqa: E402
 
 from repro import (  # noqa: E402
     AortaEngine,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         f"{stats.get('overload_admitted_requests', 0)}\n"
         f"deterministic: {deterministic}\n"
         f"verdict: {verdict}\n"
-        f"JSON: {os.path.relpath(JSON_PATH)}")
+        f"JSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     record("overload", "Overload control under a request storm", body)
     return exit_code
 

@@ -50,7 +50,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import ALGORITHM_ORDER, format_table, record, write_result  # noqa: E402
+from _common import ALGORITHM_ORDER, format_table, record, result_path, write_result  # noqa: E402
 
 from repro.actions.request import ActionRequest  # noqa: E402
 from repro.core.dispatcher import _ActionCostAdapter  # noqa: E402
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
     record("perf_regression",
            "Scheduling-time regression: oracle, vector, incremental",
            table + "\n\n" + verdict +
-           f"\nJSON: {os.path.relpath(JSON_PATH)}")
+           f"\nJSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     return exit_code
 
 

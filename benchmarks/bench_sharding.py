@@ -55,7 +55,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import format_table, record, write_result  # noqa: E402
+from _common import format_table, record, result_path, write_result  # noqa: E402
 
 from repro import (  # noqa: E402
     DeviceSpec,
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         f"deterministic repeat: {deterministic}\n"
         f"{parallel_lines}"
         f"verdict: {verdict}\n"
-        f"JSON: {os.path.relpath(JSON_PATH)}")
+        f"JSON: {os.path.relpath(result_path(JSON_PATH, args.smoke))}")
     record("sharding", "Sharded coordinator: band-storm scaling", body)
     return exit_code
 

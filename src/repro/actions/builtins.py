@@ -19,7 +19,7 @@ from typing import Any, Dict, Generator, Mapping, Tuple
 
 from repro.errors import QueryError
 from repro.devices.base import Device
-from repro.devices.camera import HeadPosition, PanTiltZoomCamera
+from repro.devices.camera import PanTiltZoomCamera
 from repro.cost.model import CostModel
 from repro.actions.action import ActionDefinition, ActionParameter
 from repro.actions.registry import ActionRegistry
@@ -74,13 +74,12 @@ def photo_resolver(
     """
     if not isinstance(device, PanTiltZoomCamera):
         raise QueryError("photo() cost estimation requires a PTZ camera")
-    current = HeadPosition(pan=status["pan"], tilt=status["tilt"],
-                           zoom=status["zoom"])
+    pan, tilt, zoom = status["pan"], status["tilt"], status["zoom"]
     aimed = device.aim_for(args["target"])
     quantities = {
-        "pan_degrees": abs(aimed.pan - current.pan),
-        "tilt_degrees": abs(aimed.tilt - current.tilt),
-        "zoom_units": abs(aimed.zoom - current.zoom),
+        "pan_degrees": abs(aimed.pan - pan),
+        "tilt_degrees": abs(aimed.tilt - tilt),
+        "zoom_units": abs(aimed.zoom - zoom),
     }
     post_status = {"pan": aimed.pan, "tilt": aimed.tilt, "zoom": aimed.zoom}
     return quantities, post_status

@@ -206,14 +206,6 @@ class EngineConfig:
     #: speedup). Both replay identical construction commands, so dumps
     #: are byte-identical across backends.
     parallel_backend: str = "process"
-    #: Predicate-indexed multi-query matching: compile each AQ's event
-    #: predicate into a normalized band form at registration and route
-    #: each scanned tuple through a per-(table, attribute)
-    #: interval/point index, touching only the queries whose bands
-    #: admit it instead of walking every registered query. Off by
-    #: default: the off path is the scan-all executor and the on path
-    #: is behaviorally identical to it (golden-gated).
-    predicate_index: bool = False
 
     def __post_init__(self) -> None:
         if self.poll_interval <= 0:

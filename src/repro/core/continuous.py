@@ -7,18 +7,26 @@ event, a pre-defined action on some type of devices is triggered."
 one shared scan per table regardless of how many queries read it —
 and matches each scanned tuple against the registered queries.
 
-Two matching paths share one :class:`~repro.query.QueryCatalog` (query
-lifecycle, per-query stats, edge-trigger memory):
+Each AQ is compiled once, when it is registered, and never
+interpreted per row:
 
-* **scan-all** (default): every enabled query's event predicate is
-  evaluated against every scanned row — O(queries x devices) per poll.
-* **indexed** (``config.predicate_index``): each query's predicate is
-  compiled to a :class:`~repro.query.bands.BandForm` at registration
-  and filed in a per-table :class:`~repro.query.PredicateIndex`; each
-  scanned row is routed to exactly the queries whose bands admit it.
-  Matches are emitted query-major in registration order, so traces,
-  counters and request ids are byte-identical to the scan-all path
-  (golden-gated).
+* its event predicate is split into a
+  :class:`~repro.query.bands.BandForm` (per-attribute bands plus a
+  residual) and filed in the event table's
+  :class:`~repro.query.PredicateIndex`, so each scanned row reaches
+  only the queries whose bands admit it;
+* the residual, the candidate predicate and the action's argument
+  expressions become closures
+  (:func:`~repro.query.expressions.compile_expression`) stored on the
+  :class:`~repro.query.RegisteredQuery`.
+
+Matching is row-at-a-time, but emission replays the matches
+query-major in registration order (row order within a query), the
+order a scan-all walk over every query would produce, so traces,
+counters and request ids do not depend on the index. The one
+documented difference: band conjuncts are checked before residual
+conjuncts, so a row whose residual would raise mid-AND cleanly does
+not match when a band already rejects it.
 """
 
 from __future__ import annotations
@@ -35,16 +43,21 @@ from repro.actions.request import ActionRequest
 from repro.comm.layer import CommunicationLayer
 from repro.comm.scan import ScanOperator
 from repro.comm.tuples import DeviceTuple
+from repro.devices.base import Device
 from repro.plan.planner import ContinuousPlan
 from repro.query.ast import Expression
 from repro.query.bands import compile_event_predicate
-from repro.query.expressions import (
+# ``evaluate`` is unused here but stays importable from this module:
+# perfbench's traced run wraps ``repro.core.continuous.evaluate``.
+from repro.query.expressions import (  # noqa: F401
     LOCATION_PSEUDO_COLUMN,
+    Compiled,
     EvaluationContext,
+    compile_expression,
     evaluate,
 )
 from repro.query.functions import FunctionRegistry
-from repro.query.predicate_index import PredicateIndex
+from repro.query.predicate_index import PredicateIndex, RowTest
 from repro.query.query_catalog import QueryCatalog, RegisteredQuery
 from repro.runtime import Runtime
 from repro.core.config import EngineConfig
@@ -75,8 +88,8 @@ class ContinuousQueryExecutor:
         self.config = config
         #: Query lifecycle, per-table reader lists and edge memory.
         self.catalog = QueryCatalog()
-        #: Per-event-table predicate indexes (only populated when
-        #: ``config.predicate_index`` is on).
+        #: Per-event-table predicate indexes; a table has one exactly
+        #: while it has readers.
         self._indexes: Dict[str, PredicateIndex] = {}
         self._scans: Dict[str, ScanOperator] = {}
         self._running = False
@@ -128,18 +141,12 @@ class ContinuousQueryExecutor:
                 raise AdmissionError(
                     f"registration of {plan.query_name!r} refused: "
                     f"{reason}")
-        query = RegisteredQuery(plan=plan, priority=priority,
-                                deadline_seconds=deadline_seconds)
-        if self.config.predicate_index:
-            query.band_form = compile_event_predicate(
-                plan.event_predicate, plan.event_alias,
-                self.comm.catalog(plan.event_table))
+        query = self._compile(plan, priority, deadline_seconds)
         self.dispatcher.operator_for(plan.action).attach(plan.query_name)
         self.catalog.register(query)
-        if self.config.predicate_index:
-            assert query.band_form is not None
-            self._index_for(plan.event_table).add(
-                query.name, query.seq, plan.event_alias, query.band_form)
+        self._index_for(plan.event_table).add(
+            query.name, query.seq, query.band_form,
+            self._residual_test(query))
         self.dispatcher.tracer.record(
             self.env.now, "query_registered", query=plan.query_name,
             action=plan.action.name)
@@ -158,12 +165,42 @@ class ContinuousQueryExecutor:
             self._scans.pop(table, None)
             self._indexes.pop(table, None)
         else:
-            index = self._indexes.get(table)
-            if index is not None:
-                index.remove(name)
+            self._indexes[table].remove(name)
         self.dispatcher.operator_for(query.plan.action).detach(name)
         self.dispatcher.tracer.record(self.env.now, "query_dropped",
                                       query=name)
+
+    def _compile(self, plan: ContinuousPlan, priority: int,
+                 deadline_seconds: Optional[float]) -> RegisteredQuery:
+        """The registered form of a plan: its band form and closures."""
+        form = compile_event_predicate(
+            plan.event_predicate, plan.event_alias,
+            self.comm.catalog(plan.event_table))
+        return RegisteredQuery(
+            plan=plan, priority=priority,
+            deadline_seconds=deadline_seconds, band_form=form,
+            residual=(None if form.residual is None
+                      else compile_expression(form.residual)),
+            candidate=(None if plan.candidate_predicate is None
+                       else compile_expression(plan.candidate_predicate)),
+            arguments={
+                name: compile_expression(expression)
+                for name, expression in plan.argument_expressions.items()
+            },
+        )
+
+    def _residual_test(self, query: RegisteredQuery) -> Optional[RowTest]:
+        """The index's exact test of the query's residual on one row."""
+        residual = query.residual
+        if residual is None:
+            return None
+        alias = query.plan.event_alias
+        functions = self.functions
+
+        def test(row: DeviceTuple) -> bool:
+            return bool(residual(EvaluationContext(
+                tuples={alias: row}, functions=functions)))
+        return test
 
     def _check_candidate_predicate(self, plan: ContinuousPlan) -> None:
         """Candidate predicates may only read the device's static data.
@@ -236,12 +273,7 @@ class ContinuousQueryExecutor:
                 rows = yield from scan.scan()
                 # Re-read the index after the scan: queries may have been
                 # registered or dropped while the acquisition was in flight.
-                if self.config.predicate_index:
-                    emitted += self._detect_indexed(table, rows)
-                else:
-                    for query in list(self.catalog.readers(table)):
-                        if query.enabled:
-                            emitted += self._detect_events(query, rows)
+                emitted += self._detect(table, rows)
         return emitted
 
     def _scan_for(self, table: str) -> ScanOperator:
@@ -250,44 +282,14 @@ class ContinuousQueryExecutor:
         return self._scans[table]
 
     # ------------------------------------------------------------------
-    # Event detection: the scan-all path
+    # Event detection
     # ------------------------------------------------------------------
-    def _detect_events(self, query: RegisteredQuery,
-                       rows: List[DeviceTuple]) -> int:
-        plan = query.plan
-        emitted = 0
-        # One context per detection pass, rebound per row — evaluate()
-        # never retains it, so reuse avoids an allocation per device row.
-        context = EvaluationContext(tuples={}, functions=self.functions)
-        for row in rows:
-            context.tuples[plan.event_alias] = row
-            holds = (True if plan.event_predicate is None
-                     else bool(evaluate(plan.event_predicate, context)))
-            previously = self.catalog.edge_state(query.name, row.device_id)
-            self.catalog.set_edge(query, row.device_id, holds)
-            if not holds:
-                continue
-            if self.config.edge_triggered and previously:
-                continue  # still the same event, no re-trigger
-            query.events_detected += 1
-            self.obs.inc("continuous.events_detected", query=query.name)
-            self.dispatcher.tracer.record(
-                self.env.now, "event_detected", query=query.name,
-                sensor=row.device_id)
-            if self._emit_request(query, row, context):
-                emitted += 1
-        return emitted
-
-    # ------------------------------------------------------------------
-    # Event detection: the indexed path
-    # ------------------------------------------------------------------
-    def _detect_indexed(self, table: str,
-                        rows: List[DeviceTuple]) -> int:
+    def _detect(self, table: str, rows: List[DeviceTuple]) -> int:
         """Route each row through the table's predicate index.
 
         Matching is event-at-a-time, but emission replays query-major
-        in registration order — the exact order the scan-all walk
-        produces — so traces and request ids stay identical.
+        in registration order, so traces and request ids do not depend
+        on which queries the index touched.
         """
         index = self._indexes.get(table)
         if index is None:
@@ -302,14 +304,7 @@ class ContinuousQueryExecutor:
         seen: Set[str] = set()
         for row in rows:
             seen.add(row.device_id)
-
-            def test(alias: str, residual: Expression,
-                     row: DeviceTuple = row) -> bool:
-                context = EvaluationContext(tuples={alias: row},
-                                            functions=self.functions)
-                return bool(evaluate(residual, context))
-
-            for _seq, name in index.match(row, test, admit=admit):
+            for _seq, name in index.match(row, admit=admit):
                 matched.setdefault(name, []).append(row)
 
         # Queries to visit: everyone matched this poll, plus everyone
@@ -362,16 +357,16 @@ class ContinuousQueryExecutor:
     # ------------------------------------------------------------------
     def _emit_request(self, query: RegisteredQuery, event_row: DeviceTuple,
                       context: EvaluationContext,
-                      memo: Optional[Dict[_CandidateKey,
-                                          List[str]]] = None) -> bool:
+                      memo: Dict[_CandidateKey, List[str]]) -> bool:
+        """Emit one event's request; False when nothing was submitted.
+
+        ``context`` has the query's event alias bound to ``event_row``.
+        """
         plan = query.plan
-        arguments = {
-            name: evaluate(expression, context)
-            for name, expression in plan.argument_expressions.items()
-        }
-        candidates = self._candidates(plan, context,
-                                      event_device=event_row.device_id,
-                                      memo=memo)
+        arguments = {name: argument(context)
+                     for name, argument in query.arguments.items()}
+        candidates = self._candidates(query, context,
+                                      event_row.device_id, memo)
         if not candidates:
             query.uncovered_events += 1
             self.obs.inc("continuous.uncovered_events",
@@ -423,11 +418,9 @@ class ContinuousQueryExecutor:
                 query.requests_rejected += 1
         return emitted_any
 
-    def _candidates(self, plan: ContinuousPlan,
-                    event_context: EvaluationContext, *,
-                    event_device: str = "",
-                    memo: Optional[Dict[_CandidateKey,
-                                        List[str]]] = None) -> List[str]:
+    def _candidates(self, query: RegisteredQuery,
+                    event_context: EvaluationContext, event_device: str,
+                    memo: Dict[_CandidateKey, List[str]]) -> List[str]:
         """Device IDs satisfying the candidate predicate for this event.
 
         Membership, not liveness, is checked here: devices "may join,
@@ -435,32 +428,46 @@ class ContinuousQueryExecutor:
         unpredictable to the system" (Section 4), so unavailability is
         discovered by the dispatcher's probe, not assumed here.
 
-        ``memo`` (indexed path only) caches the result per (device
-        table, alias, predicate, event device) within one detection
-        pass — queries sharing a candidate shape reuse one evaluation,
-        the shared-operator merge's candidate half.
+        ``memo`` caches the result per (device table, alias, predicate,
+        event device) within one detection pass — queries sharing a
+        candidate shape reuse one evaluation, the shared-operator
+        merge's candidate half.
         """
-        key: Optional[_CandidateKey] = None
-        if memo is not None:
-            key = (plan.device_table, plan.device_alias,
-                   plan.candidate_predicate, event_device)
-            cached = memo.get(key)
-            if cached is not None:
-                return list(cached)
-        candidates = []
-        for device in self.comm.registry.of_type(plan.device_table):
-            if plan.candidate_predicate is None:
-                candidates.append(device.device_id)
-                continue
-            device_row = DeviceTuple(
+        plan = query.plan
+        key: _CandidateKey = (plan.device_table, plan.device_alias,
+                              plan.candidate_predicate, event_device)
+        cached = memo.get(key)
+        if cached is not None:
+            return list(cached)
+        devices = self.comm.registry.of_type(plan.device_table)
+        candidate = query.candidate
+        if candidate is None:
+            candidates = [device.device_id for device in devices]
+        else:
+            candidates = self._join(candidate, plan.device_alias,
+                                    devices, event_context)
+        memo[key] = list(candidates)
+        return candidates
+
+    def _join(self, candidate: Compiled, alias: str, devices: List[Device],
+              event_context: EvaluationContext) -> List[str]:
+        """The devices whose static row satisfies ``candidate``.
+
+        One context serves the whole event: each device's row is
+        rebound under ``alias`` next to the event's bindings.
+        """
+        context = EvaluationContext(tuples=dict(event_context.tuples),
+                                    functions=self.functions)
+        tuples = context.tuples
+        now = self.env.now
+        kept = []
+        for device in devices:
+            tuples[alias] = DeviceTuple(
                 device_type=device.device_type,
                 device_id=device.device_id,
                 values=device.static_attributes(),
-                acquired_at=self.env.now,
+                acquired_at=now,
             )
-            context = event_context.bind(plan.device_alias, device_row)
-            if evaluate(plan.candidate_predicate, context):
-                candidates.append(device.device_id)
-        if memo is not None and key is not None:
-            memo[key] = list(candidates)
-        return candidates
+            if candidate(context):
+                kept.append(device.device_id)
+        return kept

@@ -503,11 +503,6 @@ class AortaEngine:
         if self.config.incremental:
             for key, value in self.dispatcher.incremental_stats.items():
                 stats[f"incremental_{key}"] = value
-        # Predicate-index keys appear only when the index is on, so
-        # index-off snapshots stay identical to scan-all ones.
-        if self.config.predicate_index:
-            for key, value in self.continuous.index_stats().items():
-                stats[f"predicate_index_{key}"] = value
         # Overload keys appear only when the plane is on, so
         # overload-off snapshots stay identical to pre-overload ones.
         if self.overload is not None:

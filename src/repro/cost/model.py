@@ -3,7 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Protocol, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from repro.errors import ProfileError, RegistrationError
 from repro.devices.base import Device
@@ -106,6 +115,15 @@ class BlockEstimate:
     quantities: Dict[str, Any] = field(default_factory=dict)
 
 
+class _Estimator(NamedTuple):
+    """Everything :meth:`CostModel.estimate` needs for one combination."""
+
+    resolver: QuantityResolver
+    required: FrozenSet[str]
+    profile: ActionProfile
+    table: CostTable
+
+
 class CostModel:
     """Estimates action costs from profiles, cost tables and status.
 
@@ -116,8 +134,9 @@ class CostModel:
 
     def __init__(self) -> None:
         self._cost_tables: Dict[str, CostTable] = {}
-        self._profiles: Dict[Tuple[str, str], ActionProfile] = {}
-        self._resolvers: Dict[Tuple[str, str], QuantityResolver] = {}
+        #: (action, device type) -> its estimator, resolved once at
+        #: registration so an estimate is one lookup.
+        self._estimators: Dict[Tuple[str, str], _Estimator] = {}
         self._block_resolvers: Dict[Tuple[str, str], BlockResolver] = {}
 
     # ------------------------------------------------------------------
@@ -143,26 +162,30 @@ class CostModel:
         vectorized :meth:`estimate_block` entry point for the action.
         """
         key = (profile.action_name, profile.device_type)
-        if key in self._profiles:
+        if key in self._estimators:
             raise RegistrationError(
                 f"action {profile.action_name!r} on {profile.device_type!r} "
                 f"already registered"
             )
         table = self._require_table(profile.device_type)
         profile.validate_against(table)
-        self._profiles[key] = profile
-        self._resolvers[key] = resolver
+        self._estimators[key] = _Estimator(
+            resolver, frozenset(profile.required_quantities()), profile,
+            table)
         if block_resolver is not None:
             self._block_resolvers[key] = block_resolver
 
     def has_action(self, action_name: str, device_type: str) -> bool:
         """Whether an estimate is possible for this combination."""
-        return (action_name, device_type) in self._profiles
+        return (action_name, device_type) in self._estimators
 
     def profile(self, action_name: str, device_type: str) -> ActionProfile:
         """The registered profile, raising on unknown combinations."""
+        return self._estimator(action_name, device_type).profile
+
+    def _estimator(self, action_name: str, device_type: str) -> _Estimator:
         try:
-            return self._profiles[(action_name, device_type)]
+            return self._estimators[(action_name, device_type)]
         except KeyError:
             raise ProfileError(
                 f"no profile registered for action {action_name!r} on "
@@ -195,14 +218,12 @@ class CostModel:
         the device's live status (convenient in tests; the optimizer
         always passes probed status).
         """
-        key = (action_name, device.device_type)
-        profile = self.profile(action_name, device.device_type)
-        table = self._require_table(device.device_type)
-        resolver = self._resolvers[key]
+        resolver, required, profile, table = self._estimator(
+            action_name, device.device_type)
         if status is None:
             status = device.physical_status()
         quantities, post_status = resolver(device, status, args)
-        missing = profile.required_quantities() - set(quantities)
+        missing = required.difference(quantities)
         if missing:
             raise ProfileError(
                 f"resolver for {action_name!r} on {device.device_type!r} "
@@ -282,11 +303,10 @@ class CostModel:
         request ``indexes[i]`` from the same ``status``.
         """
         numpy = _numpy()
-        profile = self.profile(action_name, device.device_type)
-        table = self._require_table(device.device_type)
+        estimator = self._estimator(action_name, device.device_type)
         resolver = self._require_block(action_name, device.device_type)
         quantities = resolver.resolve(device, prepared, status, indexes)
-        missing = profile.required_quantities() - set(quantities)
+        missing = estimator.required.difference(quantities)
         if missing:
             raise ProfileError(
                 f"block resolver for {action_name!r} on "
@@ -308,7 +328,8 @@ class CostModel:
                     f"estimation needs explicit indexes to size the batch"
                 )
             count = len(indexes)
-        seconds = _block_seconds(profile.composition, table, quantities)
+        seconds = _block_seconds(estimator.profile.composition,
+                                 estimator.table, quantities)
         if not isinstance(seconds, numpy.ndarray):
             seconds = numpy.full(count, seconds, dtype=numpy.float64)
         return BlockEstimate(seconds=seconds, quantities=dict(quantities))

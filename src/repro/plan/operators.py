@@ -15,7 +15,11 @@ from repro.errors import PlanError, QueryError
 from repro.comm.scan import ScanOperator
 from repro.comm.tuples import DeviceTuple
 from repro.query.ast import Expression, Star
-from repro.query.expressions import EvaluationContext, evaluate
+from repro.query.expressions import (
+    Compiled,
+    EvaluationContext,
+    compile_expression,
+)
 from repro.query.functions import FunctionRegistry
 
 #: One intermediate row: alias -> device tuple.
@@ -58,6 +62,7 @@ class FilterOp(Operator):
         self.child = child
         self.predicate = predicate
         self.functions = functions
+        self._test = compile_expression(predicate)
 
     def rows(self) -> Generator[Any, Any, List[Bindings]]:
         input_rows = yield from self.child.rows()
@@ -65,7 +70,7 @@ class FilterOp(Operator):
         for bindings in input_rows:
             context = EvaluationContext(tuples=bindings,
                                         functions=self.functions)
-            value = evaluate(self.predicate, context)
+            value = self._test(context)
             if not isinstance(value, bool):
                 raise QueryError(
                     f"filter predicate {self.predicate} returned "
@@ -122,6 +127,10 @@ class ProjectOp(Operator):
         self.child = child
         self.items = items
         self.functions = functions
+        #: One closure per item; ``None`` marks a ``*`` to expand.
+        self._columns: List[Optional[Compiled]] = [
+            None if isinstance(item, Star) else compile_expression(item)
+            for item in items]
 
     def rows(self) -> Generator[Any, Any, List[Bindings]]:
         return (yield from self.child.rows())
@@ -133,14 +142,14 @@ class ProjectOp(Operator):
             context = EvaluationContext(tuples=bindings,
                                         functions=self.functions)
             values: List[Any] = []
-            for item in self.items:
-                if isinstance(item, Star):
+            for column in self._columns:
+                if column is None:
                     for alias in sorted(bindings):
                         values.extend(bindings[alias].values[name]
                                       for name in sorted(
                                           bindings[alias].values))
                 else:
-                    values.append(evaluate(item, context))
+                    values.append(column(context))
             results.append(tuple(values))
         return results
 

@@ -60,33 +60,36 @@ class DeviceCatalog:
     model: str = ""
     description: str = ""
     attributes: List[AttributeSpec] = field(default_factory=list)
+    #: Attribute name -> spec, built once from ``attributes``.
+    _by_name: Dict[str, AttributeSpec] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.device_type.isidentifier():
             raise ProfileError(
                 f"device type {self.device_type!r} is not an identifier"
             )
-        seen: set[str] = set()
         for attr in self.attributes:
-            if attr.name in seen:
+            if attr.name in self._by_name:
                 raise ProfileError(
                     f"duplicate attribute {attr.name!r} in catalog "
                     f"{self.device_type!r}"
                 )
-            seen.add(attr.name)
+            self._by_name[attr.name] = attr
 
     def attribute(self, name: str) -> AttributeSpec:
         """Look up an attribute by name, raising on unknown names."""
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise ProfileError(
-            f"device type {self.device_type!r} has no attribute {name!r}"
-        )
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ProfileError(
+                f"device type {self.device_type!r} has no attribute "
+                f"{name!r}"
+            ) from None
 
     def has_attribute(self, name: str) -> bool:
         """Whether the catalog defines ``name``."""
-        return any(attr.name == name for attr in self.attributes)
+        return name in self._by_name
 
     @property
     def sensory_attributes(self) -> List[AttributeSpec]:

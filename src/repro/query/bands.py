@@ -10,8 +10,7 @@ interval or point constraints of the shape ``s.attr op literal``.
   band and ``x > 5 AND x < 3`` is recognized as unsatisfiable), and
 * a *residual* expression holding every conjunct the band form cannot
   express (ORs, NOT, function calls, cross-column comparisons, string
-  ordering) — evaluated per candidate tuple exactly like the scan-all
-  executor would.
+  ordering) — compiled once and evaluated per candidate tuple.
 
 The band form is the unit the predicate index routes on; its
 ``matches`` method is the exact (non-superset) membership test, reusing
@@ -72,7 +71,7 @@ class Band:
 
         Delegates to :func:`compare_values`, so type errors (e.g. a
         string value against a numeric interval) raise the same
-        :class:`~repro.errors.QueryError` the scan-all evaluator would.
+        :class:`~repro.errors.QueryError` the evaluator would.
         """
         if self.has_point:
             return compare_values("=", value, self.point)
@@ -99,7 +98,7 @@ class Band:
             if not isinstance(point.point, _NUMERIC_TYPES):
                 # A non-numeric point can never satisfy a numeric
                 # interval — the conjunction is empty, exactly as the
-                # scan-all evaluator's short-circuiting ``=`` would
+                # evaluator's short-circuiting ``=`` would
                 # report False before the interval conjunct errors.
                 return None
             return point if ranged.admits(point.point) else None

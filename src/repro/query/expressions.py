@@ -1,9 +1,19 @@
-"""Expression evaluation over device tuples."""
+"""Expression evaluation over device tuples.
+
+Expressions are compiled, not interpreted: :func:`compile_expression`
+turns an AST into one closure per node, once, so the dispatch on node
+type, operator and column qualification happens at compile time and a
+call only does the work the expression needs. Continuous queries
+compile their predicates and arguments when they are registered, and
+plan operators compile theirs when they are built; :func:`evaluate` is
+"compile, then call" for one-off evaluations.
+"""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BindingError, QueryError
 from repro.geometry import Point
@@ -41,35 +51,29 @@ class EvaluationContext:
         return EvaluationContext(tuples=merged, functions=self.functions)
 
 
-def _resolve_column(ref: ColumnRef, context: EvaluationContext) -> Any:
-    if ref.qualifier:
-        if ref.qualifier not in context.tuples:
-            raise BindingError(
-                f"unknown table alias {ref.qualifier!r} in "
-                f"{ref.qualifier}.{ref.name}"
-            )
-        candidates = {ref.qualifier: context.tuples[ref.qualifier]}
-    else:
-        candidates = {
-            alias: row for alias, row in context.tuples.items()
-            if ref.name in row or (
-                ref.name == LOCATION_PSEUDO_COLUMN
-                and "loc_x" in row and "loc_y" in row)
-        }
-        if len(candidates) > 1:
-            raise BindingError(
-                f"ambiguous column {ref.name!r}: present in aliases "
-                f"{sorted(candidates)}"
-            )
-        if not candidates:
-            raise BindingError(f"unknown column {ref.name!r}")
-    alias, row = next(iter(candidates.items()))
-    if ref.name == LOCATION_PSEUDO_COLUMN and ref.name not in row:
-        return Point(row["loc_x"], row["loc_y"])
-    return row[ref.name]
-
+#: A compiled expression: its value under one context.
+Compiled = Callable[[EvaluationContext], Any]
 
 _NUMERIC = (int, float)
+
+_ORDERINGS: Dict[str, Callable[[Any, Any], bool]] = {
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
+
+
+def _orderable(left: Any, right: Any) -> bool:
+    return ((isinstance(left, _NUMERIC) and isinstance(right, _NUMERIC))
+            or (isinstance(left, str) and isinstance(right, str)))
+
+
+def _incomparable(op: str, left: Any, right: Any) -> QueryError:
+    return QueryError(
+        f"cannot compare {type(left).__name__} with "
+        f"{type(right).__name__} using {op!r}"
+    )
 
 
 def compare_values(op: str, left: Any, right: Any) -> bool:
@@ -79,33 +83,17 @@ def compare_values(op: str, left: Any, right: Any) -> bool:
     ``=``/``<>`` are Python equality; ordering requires both sides
     numeric or both strings and raises :class:`QueryError` otherwise.
     Public so the predicate index's band checks share one definition
-    of comparison with the scan-all evaluator.
+    of comparison with the evaluator.
     """
-    return _compare(op, left, right)
-
-
-def _compare(op: str, left: Any, right: Any) -> bool:
     if op in ("=", "<>"):
         equal = left == right
         return equal if op == "=" else not equal
-    comparable = (
-        (isinstance(left, _NUMERIC) and isinstance(right, _NUMERIC))
-        or (isinstance(left, str) and isinstance(right, str))
-    )
-    if not comparable:
-        raise QueryError(
-            f"cannot compare {type(left).__name__} with "
-            f"{type(right).__name__} using {op!r}"
-        )
-    if op == ">":
-        return left > right
-    if op == "<":
-        return left < right
-    if op == ">=":
-        return left >= right
-    if op == "<=":
-        return left <= right
-    raise QueryError(f"unknown comparison operator {op!r}")
+    if not _orderable(left, right):
+        raise _incomparable(op, left, right)
+    test = _ORDERINGS.get(op)
+    if test is None:
+        raise QueryError(f"unknown comparison operator {op!r}")
+    return test(left, right)
 
 
 def _arithmetic(op: str, left: Any, right: Any) -> Any:
@@ -131,56 +119,187 @@ def _arithmetic(op: str, left: Any, right: Any) -> Any:
 
 
 def evaluate(expression: Expression, context: EvaluationContext) -> Any:
-    """Evaluate an expression against bound tuples.
+    """Evaluate an expression against bound tuples (compile, then call).
 
     Booleans short-circuit; functions dispatch through the context's
     registry. ``Star`` has no value — the projection layer expands it.
+    Hot paths compile once with :func:`compile_expression` instead.
+    """
+    return compile_expression(expression)(context)
+
+
+def compile_expression(expression: Expression) -> Compiled:
+    """Compile an expression into a closure over an evaluation context.
+
+    The closure returns the value the expression has under the
+    context's bindings, and raises the same errors, in the same
+    evaluation order, whatever the expression: unknown aliases and
+    columns, ambiguous columns, ill-typed operands, non-boolean
+    conditions, division by zero, unknown functions and wrong arities.
+    Compilation itself never raises; every error waits for a call.
     """
     if isinstance(expression, Literal):
-        return expression.value
+        value = expression.value
+        return lambda context: value
     if isinstance(expression, ColumnRef):
-        return _resolve_column(expression, context)
+        return _compile_column(expression)
     if isinstance(expression, Comparison):
-        left = evaluate(expression.left, context)
-        right = evaluate(expression.right, context)
-        return _compare(expression.op, left, right)
+        return _compile_comparison(expression)
     if isinstance(expression, Arithmetic):
-        left = evaluate(expression.left, context)
-        right = evaluate(expression.right, context)
-        return _arithmetic(expression.op, left, right)
+        return _compile_arithmetic(expression)
     if isinstance(expression, Negate):
-        value = evaluate(expression.operand, context)
-        if not isinstance(value, _NUMERIC) or isinstance(value, bool):
-            raise QueryError(
-                f"cannot negate a {type(value).__name__}"
-            )
-        return -value
+        return _compile_negate(expression)
     if isinstance(expression, BooleanOp):
-        if expression.op == "AND":
-            return all(_as_bool(operand, context)
-                       for operand in expression.operands)
-        return any(_as_bool(operand, context)
-                   for operand in expression.operands)
+        return _compile_boolean(expression)
     if isinstance(expression, Not):
-        return not _as_bool(expression.operand, context)
+        return _compile_not(expression)
     if isinstance(expression, FunctionCall):
-        if context.functions is None:
-            raise BindingError(
-                f"no function registry available to call "
-                f"{expression.name!r}"
-            )
-        args = [evaluate(arg, context) for arg in expression.args]
-        return context.functions.call(expression.name, args)
+        return _compile_call(expression)
     if isinstance(expression, Star):
-        raise QueryError("'*' is only legal as a SELECT item")
-    raise QueryError(f"cannot evaluate {type(expression).__name__}")
+        return _failing("'*' is only legal as a SELECT item")
+    return _failing(f"cannot evaluate {type(expression).__name__}")
 
 
-def _as_bool(expression: Expression, context: EvaluationContext) -> bool:
-    value = evaluate(expression, context)
-    if not isinstance(value, bool):
-        raise QueryError(
-            f"expected a boolean condition, {expression} evaluated to "
-            f"{type(value).__name__}"
+def _failing(message: str) -> Compiled:
+    def fail(context: EvaluationContext) -> Any:
+        raise QueryError(message)
+    return fail
+
+
+def _compile_column(ref: ColumnRef) -> Compiled:
+    name = ref.name
+    if not ref.qualifier:
+        return lambda context: _resolve_unqualified(name, context)
+    qualifier = ref.qualifier
+    location = name == LOCATION_PSEUDO_COLUMN
+
+    def column(context: EvaluationContext) -> Any:
+        try:
+            row = context.tuples[qualifier]
+        except KeyError:
+            raise BindingError(
+                f"unknown table alias {qualifier!r} in {qualifier}.{name}"
+            ) from None
+        return _location(row) if location else row[name]
+    return column
+
+
+def _location(row: DeviceTuple) -> Any:
+    """``row.loc``: a real ``loc`` column wins over the pseudo-column."""
+    if LOCATION_PSEUDO_COLUMN in row:
+        return row[LOCATION_PSEUDO_COLUMN]
+    return Point(row["loc_x"], row["loc_y"])
+
+
+def _resolve_unqualified(name: str, context: EvaluationContext) -> Any:
+    """An unqualified column: the one bound tuple that has it."""
+    location = name == LOCATION_PSEUDO_COLUMN
+    owners = [
+        (alias, row) for alias, row in context.tuples.items()
+        if name in row or (location and "loc_x" in row and "loc_y" in row)
+    ]
+    if len(owners) > 1:
+        raise BindingError(
+            f"ambiguous column {name!r}: present in aliases "
+            f"{sorted(alias for alias, _row in owners)}"
         )
-    return value
+    if not owners:
+        raise BindingError(f"unknown column {name!r}")
+    row = owners[0][1]
+    return _location(row) if location else row[name]
+
+
+def _compile_comparison(expression: Comparison) -> Compiled:
+    op = expression.op
+    left = compile_expression(expression.left)
+    right = compile_expression(expression.right)
+    if op == "=":
+        return lambda context: left(context) == right(context)
+    if op == "<>":
+        return lambda context: not left(context) == right(context)
+    test = _ORDERINGS.get(op)
+    if test is None:
+        return lambda context: compare_values(op, left(context),
+                                              right(context))
+    ordering: Callable[[Any, Any], bool] = test
+
+    def ordered(context: EvaluationContext) -> bool:
+        a = left(context)
+        b = right(context)
+        if _orderable(a, b):
+            return ordering(a, b)
+        raise _incomparable(op, a, b)
+    return ordered
+
+
+def _compile_arithmetic(expression: Arithmetic) -> Compiled:
+    op = expression.op
+    left = compile_expression(expression.left)
+    right = compile_expression(expression.right)
+    return lambda context: _arithmetic(op, left(context), right(context))
+
+
+def _compile_negate(expression: Negate) -> Compiled:
+    operand = compile_expression(expression.operand)
+
+    def negate(context: EvaluationContext) -> Any:
+        value = operand(context)
+        if not isinstance(value, _NUMERIC) or isinstance(value, bool):
+            raise QueryError(f"cannot negate a {type(value).__name__}")
+        return -value
+    return negate
+
+
+def _not_boolean(expression: Expression, value: Any) -> QueryError:
+    return QueryError(
+        f"expected a boolean condition, {expression} evaluated to "
+        f"{type(value).__name__}"
+    )
+
+
+def _compile_boolean(expression: BooleanOp) -> Compiled:
+    operands: List[Tuple[Compiled, Expression]] = [
+        (compile_expression(operand), operand)
+        for operand in expression.operands]
+    # AND stops at the first False, OR at the first True; every operand
+    # evaluated on the way must be a boolean.
+    stop = expression.op != "AND"
+    go_on = not stop
+
+    def junction(context: EvaluationContext) -> bool:
+        for operand, source in operands:
+            value = operand(context)
+            if value is go_on:
+                continue
+            if value is stop:
+                return stop
+            raise _not_boolean(source, value)
+        return go_on
+    return junction
+
+
+def _compile_not(expression: Not) -> Compiled:
+    source = expression.operand
+    operand = compile_expression(source)
+
+    def negation(context: EvaluationContext) -> bool:
+        value = operand(context)
+        if not isinstance(value, bool):
+            raise _not_boolean(source, value)
+        return not value
+    return negation
+
+
+def _compile_call(expression: FunctionCall) -> Compiled:
+    name = expression.name
+    arguments = [compile_expression(arg) for arg in expression.args]
+
+    def call(context: EvaluationContext) -> Any:
+        functions = context.functions
+        if functions is None:
+            raise BindingError(
+                f"no function registry available to call {name!r}"
+            )
+        return functions.call(name,
+                              [argument(context) for argument in arguments])
+    return call

@@ -10,10 +10,10 @@ live on a scan-always list, and unsatisfiable forms are filed nowhere.
 
 A lookup stabs every attribute structure with the tuple's value for
 that attribute, unions the scan-always list, and post-filters each
-candidate exactly (every band re-checked numerically, the residual
-expression evaluated) — the structures only need to return supersets,
-so endpoint strictness and tombstoned entries are resolved in the
-post-filter, never in the tree.
+candidate exactly (every band re-checked numerically, then the
+residual test the query was filed with) — the structures only need to
+return supersets, so endpoint strictness and tombstoned entries are
+resolved in the post-filter, never in the tree.
 
 Incremental maintenance: new intervals buffer in an *overflow* list
 (scanned linearly at lookup) and removals tombstone tree entries
@@ -31,16 +31,14 @@ from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comm.tuples import DeviceTuple
-from repro.query.ast import Expression
-from repro.query.bands import Band, BandForm
+from repro.query.bands import BandForm
 
 #: Overflow/tombstone count below which a rebuild is never triggered —
 #: small indexes just scan the buffer.
 MIN_REBUILD_THRESHOLD = 64
 
-#: Exact membership test for one candidate's residual expression, given
-#: the query's event alias: ``residual_test(alias, expression)``.
-ResidualTest = Callable[[str, Expression], bool]
+#: Exact test of one query's residual conjunction on one row.
+RowTest = Callable[[DeviceTuple], bool]
 
 _NUMERIC = (int, float)
 _INF = float("inf")
@@ -49,14 +47,14 @@ _INF = float("inf")
 class _IndexEntry:
     """One registered query's slot in the index."""
 
-    __slots__ = ("name", "seq", "alias", "form")
+    __slots__ = ("name", "seq", "form", "residual")
 
-    def __init__(self, name: str, seq: int, alias: str,
-                 form: BandForm) -> None:
+    def __init__(self, name: str, seq: int, form: BandForm,
+                 residual: Optional[RowTest]) -> None:
         self.name = name
         self.seq = seq
-        self.alias = alias
         self.form = form
+        self.residual = residual
 
 
 class _IntervalTree:
@@ -229,10 +227,14 @@ class PredicateIndex:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def add(self, name: str, seq: int, alias: str,
-            form: BandForm) -> None:
-        """File one registered query under its band form."""
-        entry = _IndexEntry(name, seq, alias, form)
+    def add(self, name: str, seq: int, form: BandForm,
+            residual: Optional[RowTest] = None) -> None:
+        """File one registered query under its band form.
+
+        ``residual`` tests the form's residual expression on a row; pass
+        it exactly when the form has a residual.
+        """
+        entry = _IndexEntry(name, seq, form, residual)
         self._entries[name] = entry
         if form.unsatisfiable:
             return  # matches nothing; filed nowhere
@@ -263,7 +265,7 @@ class PredicateIndex:
             if not len(attribute):
                 del self._attributes[primary.attribute]
 
-    def match(self, row: DeviceTuple, residual_test: ResidualTest,
+    def match(self, row: DeviceTuple,
               admit: Optional[Callable[[str], bool]] = None,
               ) -> List[Tuple[int, str]]:
         """Exactly the queries whose predicate admits ``row``.
@@ -272,7 +274,7 @@ class PredicateIndex:
         order). ``admit`` pre-filters candidates by name before any
         predicate work — the executor passes the enabled check, so
         disabled queries cost nothing and see no evaluation, exactly
-        like the scan-all path.
+        like a query that is not registered.
         """
         self.lookups += 1
         candidates: List[_IndexEntry] = []
@@ -293,8 +295,7 @@ class PredicateIndex:
                     break
             if not admitted:
                 continue
-            if form.residual is not None \
-                    and not residual_test(entry.alias, form.residual):
+            if entry.residual is not None and not entry.residual(row):
                 continue
             self.matches += 1
             out.append((entry.seq, entry.name))

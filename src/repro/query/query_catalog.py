@@ -6,18 +6,18 @@ the event-edge memory — so the executor, engine facade, sharded
 coordinator and CLI all read one structure instead of ad-hoc dicts.
 
 Edge-trigger memory lives here as (query, device) keys: per query, the
-set of event devices whose predicate held at the last poll. Both
-detection paths share it — the scan-all executor writes one entry per
-scanned row, the indexed path writes matches and prunes the scanned
-non-matches — so membership is identical however detection ran.
+set of event devices whose predicate held at the last poll. Detection
+writes the matches and prunes the scanned non-matches, so membership
+is what a walk writing every scanned row's outcome would leave.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
 
 from repro.query.bands import BandForm
+from repro.query.expressions import Compiled
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.plan.planner import ContinuousPlan
@@ -43,9 +43,16 @@ class RegisteredQuery:
     #: Requests refused by admission control or queue backpressure
     #: (stays zero with overload control off).
     requests_rejected: int = 0
-    #: The normalized band form of the event predicate; compiled only
-    #: when the engine's predicate index is on.
+    #: The event predicate compiled at registration: its band form (the
+    #: predicate index's routing key) and a closure for the residual
+    #: the bands cannot express (``None`` when there is none).
     band_form: Optional[BandForm] = None
+    residual: Optional[Compiled] = None
+    #: The candidate predicate as a closure (``None``: every device of
+    #: the device table is a candidate).
+    candidate: Optional[Compiled] = None
+    #: Action argument name -> closure, in the plan's argument order.
+    arguments: Dict[str, Compiled] = field(default_factory=dict)
     #: Registration sequence number, catalog-assigned and monotone —
     #: sorting by seq recovers registration order.
     seq: int = -1
@@ -162,8 +169,8 @@ class QueryCatalog:
         """Forget held devices that were scanned but no longer match.
 
         Devices outside ``seen`` keep their edge state — an unscanned
-        device carries no new information, matching the scan-all path
-        which only updates state for rows the scan returned.
+        device carries no new information, so only rows the scan
+        returned update state.
         """
         held = self._edge.get(query.name)
         if not held:

@@ -32,6 +32,7 @@ scalar walk when it is absent or when a cost model provides no kernel.
 
 from __future__ import annotations
 
+import importlib.util
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.errors import SchedulingError
@@ -41,12 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.devices.base import Device
     from repro.cost.model import CostModel
 
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    numpy = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+#: Whether numpy is installed. Checked without importing it: numpy is
+#: imported only by the code paths that use it, so an engine that never
+#: vectorizes never pays its import time or memory.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def require_numpy(feature: str = "vectorize=True") -> None:
@@ -155,6 +154,7 @@ def masked_argmin(costs: Any, mask: Any) -> Optional[int]:
     First occurrence wins on ties — the same rule as a scalar
     first-strict-min scan in array order.
     """
+    import numpy
     masked = numpy.where(mask, numpy.inf, costs)
     pos = int(masked.argmin())
     if masked[pos] == numpy.inf:

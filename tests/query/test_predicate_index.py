@@ -80,11 +80,14 @@ def rows(draw):
                        values=values)
 
 
-def residual_test_for(row):
-    def test(alias, residual):
-        context = EvaluationContext(tuples={alias: row},
-                                    functions=FUNCTIONS)
-        return bool(evaluate(residual, context))
+def residual_test(form):
+    """The row test the index files a form's residual under."""
+    if form.residual is None:
+        return None
+
+    def test(row):
+        context = EvaluationContext(tuples={"s": row}, functions=FUNCTIONS)
+        return bool(evaluate(form.residual, context))
     return test
 
 
@@ -97,13 +100,13 @@ def brute_force(forms, row):
 def build_index(forms):
     index = PredicateIndex("sensor")
     for i, form in enumerate(forms):
-        index.add(f"q{i}", i, "s", form)
+        index.add(f"q{i}", i, form, residual_test(form))
     return index
 
 
 def matched_names(index, row, admit=None):
     return {name for _seq, name
-            in index.match(row, residual_test_for(row), admit=admit)}
+            in index.match(row, admit=admit)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,7 +127,8 @@ def test_drop_and_reregister_round_trip(forms, row, data):
     without = {name for name in brute_force(forms, row)
                if name != f"q{victim}"}
     assert matched_names(index, row) == without
-    index.add(f"q{victim}", victim, "s", forms[victim])
+    index.add(f"q{victim}", victim, forms[victim],
+              residual_test(forms[victim]))
     assert matched_names(index, row) == before
 
 
@@ -132,7 +136,7 @@ def test_drop_and_reregister_round_trip(forms, row, data):
 @given(st.lists(band_forms(), max_size=10), rows())
 def test_match_returns_seq_with_name(forms, row):
     index = build_index(forms)
-    for seq, name in index.match(row, residual_test_for(row)):
+    for seq, name in index.match(row):
         assert name == f"q{seq}"
 
 
@@ -168,8 +172,8 @@ def test_amortized_rebuild_keeps_matching_exact():
 
 def test_unsatisfiable_and_bandless_forms():
     index = PredicateIndex("sensor")
-    index.add("never", 0, "s", BandForm(unsatisfiable=True))
-    index.add("always", 1, "s", BandForm())
+    index.add("never", 0, BandForm(unsatisfiable=True))
+    index.add("always", 1, BandForm())
     sample = DeviceTuple(device_type="sensor", device_id="m1",
                          values={"temperature": 1.0})
     assert matched_names(index, sample) == {"always"}
@@ -180,9 +184,8 @@ def test_unsatisfiable_and_bandless_forms():
 
 def test_non_numeric_row_value_skips_interval_structures():
     index = PredicateIndex("sensor")
-    index.add("ranged", 0, "s",
-              BandForm((Band("temperature", low=1.0),)))
-    index.add("pointed", 1, "s",
+    index.add("ranged", 0, BandForm((Band("temperature", low=1.0),)))
+    index.add("pointed", 1,
               BandForm((Band("temperature", point="hot",
                              has_point=True),)))
     sample = DeviceTuple(device_type="sensor", device_id="m1",
