@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
+
+from repro.errors import AortaError
 
 _request_counter = itertools.count(1)
 
@@ -26,6 +28,25 @@ class RequestState(enum.Enum):
     # plane configured; see repro.overload).
     SHED = "shed"              # accepted, then dropped by load-shedding
     REJECTED = "rejected"      # refused at admission / queue backpressure
+
+
+#: The request lifecycle: each state and the states a ``mark_*`` call
+#: may move it to. A request is dispatched from PENDING, and re-queued
+#: for failover from PENDING (no candidate was available) or ASSIGNED
+#: (its device failed). Terminal states map to nothing: they are
+#: absorbing, so a late completion can never overwrite an outcome.
+TRANSITIONS: Dict[RequestState, FrozenSet[RequestState]] = {
+    RequestState.PENDING: frozenset({
+        RequestState.ASSIGNED, RequestState.PENDING, RequestState.FAILED,
+        RequestState.SHED, RequestState.REJECTED}),
+    RequestState.ASSIGNED: frozenset({
+        RequestState.PENDING, RequestState.SERVICED, RequestState.FAILED,
+        RequestState.SHED}),
+    RequestState.SERVICED: frozenset(),
+    RequestState.FAILED: frozenset(),
+    RequestState.SHED: frozenset(),
+    RequestState.REJECTED: frozenset(),
+}
 
 
 @dataclass
@@ -68,10 +89,18 @@ class ActionRequest:
     #: shed instead of serviced late.
     deadline: Optional[float] = None
 
+    def _move(self, target: RequestState) -> None:
+        """Enter ``target``, or raise if :data:`TRANSITIONS` forbids it."""
+        if target not in TRANSITIONS[self.state]:
+            raise AortaError(
+                f"request {self.request_id} is {self.state.value}; "
+                f"illegal move to {target.value}")
+        self.state = target
+
     def mark_assigned(self, device_id: str) -> None:
         """Record the scheduler's device choice."""
+        self._move(RequestState.ASSIGNED)
         self.assigned_device = device_id
-        self.state = RequestState.ASSIGNED
 
     def mark_requeued(self, failed_device: Optional[str]) -> None:
         """Failover: back to PENDING with the failed device blacklisted.
@@ -79,35 +108,35 @@ class ActionRequest:
         The request re-enters its shared operator's queue; the next
         batch reschedules it over the surviving candidates.
         """
+        self._move(RequestState.PENDING)
         if failed_device is not None:
             self.failed_devices = self.failed_devices + (failed_device,)
             self.candidates = tuple(
                 device_id for device_id in self.candidates
                 if device_id != failed_device)
         self.assigned_device = None
-        self.state = RequestState.PENDING
 
     def mark_serviced(self, completed_at: float, result: Any = None) -> None:
         """Record successful completion."""
-        self.state = RequestState.SERVICED
+        self._move(RequestState.SERVICED)
         self.completed_at = completed_at
         self.result = result
 
     def mark_failed(self, completed_at: float, reason: str) -> None:
         """Record failure (timeout, interference, device fault...)."""
-        self.state = RequestState.FAILED
+        self._move(RequestState.FAILED)
         self.completed_at = completed_at
         self.failure_reason = reason
 
     def mark_shed(self, completed_at: float, reason: str) -> None:
         """Record that overload control dropped this accepted request."""
-        self.state = RequestState.SHED
+        self._move(RequestState.SHED)
         self.completed_at = completed_at
         self.failure_reason = reason
 
     def mark_rejected(self, at: float, reason: str) -> None:
         """Record refusal at admission (the request never entered)."""
-        self.state = RequestState.REJECTED
+        self._move(RequestState.REJECTED)
         self.completed_at = at
         self.failure_reason = reason
 

@@ -104,9 +104,10 @@ class Scheduler:
 
     * ``"auto"`` (default) — a fresh :class:`CachingCostModel` per
       ``schedule`` call, but only for cost models that declare
-      ``cache_by_default`` (the expensive engine oracle); cheap analytic
-      models run bare, so the paper's scheduling-time figures are not
-      perturbed by cache bookkeeping;
+      ``cache_by_default`` (the expensive engine oracle) and algorithms
+      that declare :attr:`reuses_estimates`; cheap analytic models run
+      bare, so the paper's scheduling-time figures are not perturbed by
+      cache bookkeeping;
     * ``True`` — force a fresh per-schedule cache regardless of the
       model's hint;
     * a :class:`CachingCostModel` instance — shared/persistent cache,
@@ -130,6 +131,11 @@ class Scheduler:
     name: str = "scheduler"
     #: SAP or CAP (Section 5.2 taxonomy).
     category: str = CATEGORY_SAP
+    #: Whether one ``schedule`` call asks for the same (request, device,
+    #: status) estimate more than once. The ``"auto"`` cache policy
+    #: only wraps the cost model of algorithms that do; a per-schedule
+    #: memo that never hits is pure overhead.
+    reuses_estimates: bool = True
 
     def __init__(self, seed: int = 0,
                  cost_cache: Union[bool, str, CachingCostModel] = "auto",
@@ -170,7 +176,8 @@ class Scheduler:
                 )
             cache = self.cost_cache
         elif self.cost_cache == "auto":
-            if not getattr(cost_model, "cache_by_default", False):
+            if not (self.reuses_estimates
+                    and getattr(cost_model, "cache_by_default", False)):
                 return problem
             cache = CachingCostModel(cost_model)
         else:

@@ -1,10 +1,13 @@
 """A shared memoizing cost oracle for the scheduling stack.
 
-Every scheduler estimates the same ``(request, device, status)`` triple
+Most schedulers estimate the same ``(request, device, status)`` triple
 many times: LERFA probes each candidate from the same initial status,
-SRFAE re-keys pairs after every assignment, SA's annealing loop
-re-walks queue suffixes millions of times, and the dispatcher
-re-schedules recurring batches every poll cycle. The inner cost model
+SA's annealing loop re-walks queue suffixes millions of times, and the
+dispatcher re-schedules recurring batches every poll cycle. SRFAE is
+the exception within one schedule: each re-key after an assignment
+asks about a device status nobody has seen yet, so a fresh per-schedule
+memo almost never hits (``Scheduler.reuses_estimates``); a cache shared
+across recurring batches still pays off for it. The inner cost model
 (profile interpolation + quantity resolution through
 :class:`repro.cost.model.CostModel`) is an order of magnitude more
 expensive than a dict lookup, so memoizing the oracle is the difference

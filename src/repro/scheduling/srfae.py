@@ -185,6 +185,10 @@ class SrfaeScheduler(Scheduler):
 
     name = "SRFAE"
     category = CATEGORY_CAP
+    #: Algorithm 2 estimates each (request, device, status) triple once,
+    #: except when two extracted requests leave a device at the same
+    #: status; measured per-schedule memo hit ratios are 0-4 %.
+    reuses_estimates = False
 
     def __init__(self, seed: int = 0, *, structure: str = "heap",
                  use_avl: Optional[bool] = None, cost_cache="auto",

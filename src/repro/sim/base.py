@@ -18,6 +18,8 @@ realtime backend produces byte-identical traces to the virtual one
 
 from __future__ import annotations
 
+from heapq import heappop
+from math import inf
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -79,23 +81,13 @@ class BaseRuntime:
         """Enqueue ``event`` to have its callbacks run after ``delay``."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._queue.push(self.now + delay, priority, event)
+        self._queue.push(self._clock.now + delay, priority, event)
 
     def step(self) -> None:
         """Process the single next event in the queue."""
-        item = self._queue.pop()
-        self._pace(item.time)
-        self._clock.advance_to(item.time)
-        self._events_processed += 1
-        event = item.event
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not getattr(event, "_defused", False):
-            # A failed event that nobody waited on would otherwise vanish
-            # silently; surface it (Zen: errors should never pass silently).
-            raise event._value
+        if not self._queue.heap:
+            raise SimulationError("step on an empty event queue")
+        self._process(inf, 1)
 
     def run(
         self,
@@ -116,25 +108,56 @@ class BaseRuntime:
             raise SimulationError(f"run until {until} is in the past (now={self.now})")
         if max_events is not None and max_events < 0:
             raise SimulationError(f"max_events must be >= 0, got {max_events}")
-        processed = 0
-        while len(self._queue):
-            if until is not None and self._queue.peek_time() > until:
-                self._pace(until)
-                self._clock.advance_to(until)
-                return self.now
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted: processed {processed} events "
-                    f"by t={self.now:.6f} with {len(self._queue)} still "
-                    f"pending ({self._pending_summary()}); a process is "
-                    f"likely scheduling work faster than it completes"
-                )
-            self.step()
-            processed += 1
+        horizon = inf if until is None else until
+        processed = self._process(horizon, inf if max_events is None
+                                  else max_events)
+        heap = self._queue.heap
+        if heap and heap[0][0] <= horizon:
+            raise SimulationError(
+                f"event budget exhausted: processed {processed} events "
+                f"by t={self.now:.6f} with {len(heap)} still "
+                f"pending ({self._pending_summary()}); a process is "
+                f"likely scheduling work faster than it completes"
+            )
         if until is not None:
             self._pace(until)
             self._clock.advance_to(until)
         return self.now
+
+    def _process(self, horizon: float, limit: float) -> int:
+        """The one event loop behind :meth:`run` and :meth:`step`.
+
+        Fires events in ``(time, priority, insertion)`` order until the
+        queue drains, the next event lies beyond ``horizon``, or
+        ``limit`` events have been processed; returns how many fired.
+        Each event: pace to its time, refuse a backwards clock, count
+        it, run its callbacks, and re-raise its failure unless defused.
+        The body reads only local names — it runs once per event.
+        """
+        heap = self._queue.heap
+        clock = self._clock
+        pace = self._pace
+        processed = 0
+        try:
+            while heap and processed < limit and heap[0][0] <= horizon:
+                time, _, _, event = heappop(heap)
+                pace(time)
+                if time < clock.now:
+                    clock.advance_to(time)  # raises: corrupted queue
+                clock.now = time
+                processed += 1
+                event._processed = True
+                callbacks, event.callbacks = event.callbacks, []
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # A failed event that nobody waited on would
+                    # otherwise vanish silently; surface it (Zen:
+                    # errors should never pass silently).
+                    raise event._value
+        finally:
+            self._events_processed += processed
+        return processed
 
     @property
     def pending_events(self) -> int:

@@ -16,12 +16,11 @@ class VirtualClock:
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise SimulationError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        #: Current virtual time in seconds. A plain attribute, so the
+        #: kernel's hot paths read it without a property call; move it
+        #: only through :meth:`advance_to` (or the run loop, which makes
+        #: the same check inline).
+        self.now = float(start)
 
     def advance_to(self, timestamp: float) -> None:
         """Move the clock forward to ``timestamp``.
@@ -29,8 +28,8 @@ class VirtualClock:
         Raises :class:`SimulationError` on an attempt to move backwards,
         which would indicate a corrupted event queue.
         """
-        if timestamp < self._now:
+        if timestamp < self.now:
             raise SimulationError(
-                f"cannot move clock backwards from {self._now} to {timestamp}"
+                f"cannot move clock backwards from {self.now} to {timestamp}"
             )
-        self._now = timestamp
+        self.now = timestamp

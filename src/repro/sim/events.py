@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+import itertools
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from repro.errors import SimulationError
 
@@ -32,6 +32,7 @@ class Event:
         self._ok: Optional[bool] = None  # None => not yet triggered
         self._scheduled = False
         self._processed = False  # set by the kernel after callbacks run
+        self._defused = False  # a failure nobody waits on is re-raised
 
     @property
     def triggered(self) -> bool:
@@ -61,7 +62,7 @@ class Event:
         parallel row acquisitions in order — defuses the event first so
         the failure is delivered at the ``yield`` instead.
         """
-        self._defused = True  # type: ignore[attr-defined]
+        self._defused = True
         return self
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
@@ -103,44 +104,55 @@ class Timeout(Event):
         self._scheduled = True
 
 
-@dataclass(order=True)
-class ScheduledItem:
-    """Heap entry: (time, priority, seq) gives deterministic ordering."""
+class ScheduledItem(NamedTuple):
+    """A pending event with its firing key, as :meth:`EventQueue.pop`
+    and :meth:`EventQueue.peek_items` return it."""
 
     time: float
     priority: int
     seq: int
-    event: Event = field(compare=False)
+    event: Event
+
+
+#: The heap's entry: ``(time, priority, seq, event)``. ``seq`` is unique,
+#: so ``heapq`` orders entries by comparing tuples in C and a comparison
+#: never reaches the event.
+HeapEntry = tuple[float, int, int, Event]
 
 
 class EventQueue:
-    """A stable priority queue of scheduled events."""
+    """A stable priority queue of scheduled events.
+
+    Events fire in ``(time, priority, insertion order)`` order. The run
+    loop in :class:`~repro.sim.base.BaseRuntime` pops :attr:`heap`
+    directly; everything else goes through the methods.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledItem] = []
-        self._seq = 0
+        self.heap: list[HeapEntry] = []
+        self._seq = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, time: float, priority: int, event: Event) -> None:
-        heapq.heappush(self._heap, ScheduledItem(time, priority, self._seq, event))
-        self._seq += 1
+        heapq.heappush(self.heap, (time, priority, next(self._seq), event))
 
     def pop(self) -> ScheduledItem:
-        if not self._heap:
+        if not self.heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
+        return ScheduledItem._make(heapq.heappop(self.heap))
 
     def peek_time(self) -> float:
         """Timestamp of the next event without removing it."""
-        if not self._heap:
+        if not self.heap:
             raise SimulationError("peek on an empty event queue")
-        return self._heap[0].time
+        return self.heap[0][0]
 
     def peek_items(self, limit: int) -> list[ScheduledItem]:
         """Up to ``limit`` next items in firing order, without removal.
 
         Diagnostic helper for the run-budget error path; O(k log n).
         """
-        return heapq.nsmallest(max(limit, 0), self._heap)
+        return [ScheduledItem._make(entry)
+                for entry in heapq.nsmallest(max(limit, 0), self.heap)]

@@ -112,4 +112,4 @@ class Process(Event):
             self._waiting_on = target
             # Waiting on an event defuses its failure for the kernel; the
             # exception will be re-raised inside this process instead.
-            target._defused = True  # type: ignore[attr-defined]
+            target._defused = True

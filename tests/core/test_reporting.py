@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import SensorStimulus
-from tests.core.conftest import FIGURE_1
+from repro import EngineConfig, SensorStimulus
+from tests.core.conftest import FIGURE_1, build_lab
 
 
 def test_device_report_before_any_work(engine):
@@ -76,8 +76,7 @@ def test_statistics_counters_match_completion_log(engine):
         stats["requests_serviced"] + stats["requests_failed"])
 
 
-def test_dispatch_reports_expose_cache_stats(engine):
-    """Batches scheduled through the engine oracle report cache stats."""
+def _scheduled_reports(engine):
     engine.execute(FIGURE_1)
     engine.comm.registry.get("mote1").inject(
         SensorStimulus("accel_x", start=2.0, duration=2.0,
@@ -86,6 +85,16 @@ def test_dispatch_reports_expose_cache_stats(engine):
     engine.run(until=30.0)
     reports = [r for r in engine.dispatcher.reports if r.scheduled]
     assert reports
-    for report in reports:
+    return reports
+
+
+def test_dispatch_reports_expose_cache_stats():
+    """Batches scheduled through the memoized engine oracle report its
+    stats; the default SRFAE runs the oracle bare (its per-schedule memo
+    would never hit), so its reports carry none."""
+    for report in _scheduled_reports(build_lab()):
+        assert report.cache_stats is None
+    lerfa = build_lab(config=EngineConfig(scheduler="LERFA+SRFE"))
+    for report in _scheduled_reports(lerfa):
         assert report.cache_stats is not None
         assert report.cache_stats["misses"] > 0

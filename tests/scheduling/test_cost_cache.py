@@ -165,6 +165,30 @@ def test_auto_policy_follows_the_models_hint():
     assert forced.last_cache_stats is not None
 
 
+def test_auto_policy_skips_algorithms_that_never_reuse_estimates():
+    """SRFAE declares it asks for each estimate once, so "auto" leaves
+    even an opted-in model bare; forcing or sharing a cache still wraps
+    it."""
+    class OptIn(StaticCostModel):
+        cache_by_default = True
+
+    costs = {("r1", "d1"): 2.0, ("r2", "d1"): 1.0}
+    problem = Problem(
+        requests=(SchedRequest("r1", ("d1",)), SchedRequest("r2", ("d1",))),
+        device_ids=("d1",), cost_model=OptIn(costs))
+    assert not SrfaeScheduler.reuses_estimates
+    assert LerfaSrfeScheduler.reuses_estimates
+    bare = SrfaeScheduler(0)
+    bare.schedule(problem)
+    assert bare.last_cache_stats is None
+    forced = SrfaeScheduler(0, cost_cache=True)
+    forced.schedule(problem)
+    assert forced.last_cache_stats is not None
+    shared = CachingCostModel(problem.cost_model)
+    SrfaeScheduler(0, cost_cache=shared).schedule(problem)
+    assert shared.misses > 0
+
+
 def test_schedulers_skip_caching_noisy_models():
     noisy = uniform_camera_workload(6, 2, seed=0, estimate_noise=0.1)
     scheduler = LerfaSrfeScheduler(0, cost_cache=True)
