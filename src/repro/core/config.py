@@ -90,9 +90,9 @@ class RetryPolicy:
 class EngineConfig:
     """Tunables of one engine instance.
 
-    ``synchronization`` switches the Section 4 mechanisms (device
-    locking + probing) on or off — off reproduces the unsynchronized
-    failure study of Section 6.2.
+    ``locking`` and ``probing`` are the Section 4 synchronization
+    mechanisms; turning them off reproduces the unsynchronized failure
+    study of Section 6.2.
     """
 
     #: Seconds between event-scan polls of the continuous executor.
@@ -247,19 +247,3 @@ class EngineConfig:
             raise AortaError(
                 f"unknown parallel_backend {self.parallel_backend!r}; "
                 f"expected one of {PARALLEL_BACKENDS}")
-
-    @property
-    def synchronization(self) -> bool:
-        """Whether both Section 4 mechanisms are active."""
-        return self.locking and self.probing
-
-    @property
-    def comm_fastpath(self) -> bool:
-        """Whether any comm fast-path mechanism is switched on."""
-        return (self.connection_pool or self.status_cache
-                or self.concurrent_dispatch)
-
-    @property
-    def fault_tolerance(self) -> bool:
-        """Whether any fault-tolerance mechanism is configured."""
-        return self.retry.enabled or self.health is not None

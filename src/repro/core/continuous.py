@@ -378,34 +378,20 @@ class ContinuousQueryExecutor:
             action=plan.action.name, candidates=len(candidates))
         deadline = (None if query.deadline_seconds is None
                     else self.env.now + query.deadline_seconds)
+        fan_out = plan.action.select_all
+        # Fan out: one single-candidate request per device, so the
+        # action runs on every candidate (extension semantics), each
+        # with its own copy of the arguments.
+        candidate_sets = ([(device_id,) for device_id in candidates]
+                          if fan_out else [tuple(candidates)])
         emitted_any = False
-        if plan.action.select_all:
-            # Fan out: one single-candidate request per device, so the
-            # action runs on every candidate (extension semantics).
-            for device_id in candidates:
-                request = ActionRequest(
-                    action_name=plan.action.name,
-                    arguments=dict(arguments),
-                    query_id=plan.query_name,
-                    created_at=self.env.now,
-                    candidates=(device_id,),
-                    priority=query.priority,
-                    deadline=deadline,
-                )
-                if self.dispatcher.submit(operator, request):
-                    emitted_any = True
-                    query.requests_emitted += 1
-                    self.obs.inc("continuous.requests_emitted",
-                                 query=plan.query_name)
-                else:
-                    query.requests_rejected += 1
-        else:
+        for candidate_set in candidate_sets:
             request = ActionRequest(
                 action_name=plan.action.name,
-                arguments=arguments,
+                arguments=dict(arguments) if fan_out else arguments,
                 query_id=plan.query_name,
                 created_at=self.env.now,
-                candidates=tuple(candidates),
+                candidates=candidate_set,
                 priority=query.priority,
                 deadline=deadline,
             )

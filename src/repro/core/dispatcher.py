@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Hashable, List, Optional, Tuple
+from typing import (
+    Any, Dict, Generator, Hashable, Iterator, List, Optional, Tuple,
+)
 
 from repro.errors import (
     ActionFailedError,
@@ -41,6 +43,7 @@ from repro.scheduling import (
     ListScheduler,
     Problem,
     RandomScheduler,
+    Schedule,
     SchedRequest,
     Scheduler,
     SchedulingCostModel,
@@ -48,7 +51,7 @@ from repro.scheduling import (
     SrfaeScheduler,
     freeze_status,
 )
-from repro.obs.spans import NULL_OBS, Observability, SpanContext
+from repro.obs.spans import NULL_OBS, Observability
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.shedding import REASON_DEADLINE
 from repro.runtime import Runtime
@@ -56,6 +59,7 @@ from repro.sim import Event
 from repro.sim.rng import component_seed
 from repro.sync.locks import DeviceLockManager, LockToken
 from repro.core.config import EngineConfig, RetryPolicy
+from repro.core.tracing import EngineTracer
 
 #: Factories of the five evaluated algorithms, keyed by config name.
 SCHEDULER_FACTORIES = {
@@ -214,6 +218,18 @@ class DispatchReport:
 class Dispatcher:
     """Drains shared action operators and drives execution on devices."""
 
+    #: Running outcome counters, so statistics() is O(1) instead of
+    #: rescanning `completed` on every call. Each starts at the class
+    #: default and becomes an instance attribute on its first update.
+    serviced_total = 0
+    failed_total = 0
+    #: Fault-tolerance counters (all stay zero with retries off).
+    attempts_total = 0
+    retries_total = 0
+    failovers_total = 0
+    #: Overload counter (stays zero with overload control off).
+    shed_total = 0
+
     def __init__(
         self,
         env: Runtime,
@@ -222,13 +238,12 @@ class Dispatcher:
         locks: DeviceLockManager,
         config: EngineConfig,
         scheduler: Optional[Scheduler] = None,
-        tracer: Optional["EngineTracer"] = None,
+        tracer: Optional[EngineTracer] = None,
         health: Optional[DeviceHealthTracker] = None,
         obs: Optional[Observability] = None,
         status_cache: Optional[DeviceStatusCache] = None,
         overload: Optional[OverloadControlPlane] = None,
     ) -> None:
-        from repro.core.tracing import EngineTracer
         self.env = env
         self.comm = comm
         self.cost_model = cost_model
@@ -245,24 +260,14 @@ class Dispatcher:
         # identity, not truthiness.
         self.tracer = tracer if tracer is not None else EngineTracer()
         if scheduler is None:
-            factory = SCHEDULER_FACTORIES[config.scheduler]
-            scheduler = factory(config.scheduler_seed,
-                                vectorize=config.vectorize)
+            scheduler = SCHEDULER_FACTORIES[config.scheduler](
+                config.scheduler_seed, vectorize=config.vectorize)
         self.scheduler = scheduler
         #: Per-action warm-start state (adapter + shared cost cache +
         #: incremental scheduler), built lazily when config.incremental.
         self._incremental: Dict[str, _IncrementalActionState] = {}
         if config.incremental:
-            # Dirty-set signals the engine already emits: breaker
-            # transitions and status-cache invalidations both mean the
-            # device's last-known state is untrustworthy, so its cached
-            # cost estimates and previous placements are stale too.
-            if health is not None:
-                health.transition_listeners.append(
-                    lambda device_id, state: self._mark_dirty(device_id))
-            if status_cache is not None:
-                status_cache.invalidation_listeners.append(
-                    lambda device_id, reason: self._mark_dirty(device_id))
+            self._watch_dirty_signals()
         self._operators: Dict[str, SharedActionOperator] = {}
         #: The overload-control plane (None = overload control off, the
         #: pre-overload behaviour: unbounded queues, no admission, no
@@ -281,20 +286,24 @@ class Dispatcher:
         #: All requests that went through dispatch, in completion order.
         self.completed: List[ActionRequest] = []
         self.reports: List[DispatchReport] = []
-        #: Running outcome counters, so statistics() is O(1) instead of
-        #: rescanning `completed` on every call.
-        self.serviced_total = 0
-        self.failed_total = 0
-        #: Fault-tolerance counters (all stay zero with retries off).
-        self.attempts_total = 0
-        self.retries_total = 0
-        self.failovers_total = 0
-        #: Overload counter (stays zero with overload control off).
-        self.shed_total = 0
 
     # ------------------------------------------------------------------
     # Incremental warm-start state
     # ------------------------------------------------------------------
+    def _watch_dirty_signals(self) -> None:
+        """Mark devices dirty on the signals the engine already emits.
+
+        Breaker transitions and status-cache invalidations both mean
+        the device's last-known state is untrustworthy, so its cached
+        cost estimates and previous placements are stale too.
+        """
+        if self.health is not None:
+            self.health.transition_listeners.append(
+                lambda device_id, state: self._mark_dirty(device_id))
+        if self.status_cache is not None:
+            self.status_cache.invalidation_listeners.append(
+                lambda device_id, reason: self._mark_dirty(device_id))
+
     def _mark_dirty(self, device_id: str) -> None:
         """Propagate a dirty-device signal to every action's warm state."""
         for state in self._incremental.values():
@@ -409,35 +418,33 @@ class Dispatcher:
         Iterates a snapshot of the operator table: dispatching a batch
         can create operators mid-drain (failover re-dispatch registers
         the shared operator lazily), which must not mutate the dict
-        under this loop. With ``config.concurrent_dispatch`` each
-        action's batch runs as its own sim process, so independent
+        under this loop. Serially, each operator is drained just before
+        its batch dispatches. With ``config.concurrent_dispatch`` every
+        operator is drained up front and, when that yields more than one
+        batch, each batch runs as its own sim process, so independent
         actions' probe/schedule/execute pipelines overlap; reports come
         back in operator order either way.
         """
-        operators = list(self._operators.values())
+        drained: Iterator[Tuple[SharedActionOperator,
+                                List[ActionRequest]]] = (
+            (operator, operator.drain())
+            for operator in list(self._operators.values()))
+        reports: List[DispatchReport] = []
         if self.config.concurrent_dispatch:
-            batches = [(operator, batch) for operator in operators
-                       for batch in [operator.drain()] if batch]
+            batches = [(operator, batch) for operator, batch in drained
+                       if batch]
             if len(batches) > 1:
                 dispatches = [
                     self.env.process(
                         self.dispatch_batch(operator.action, batch)
                     ).defuse()
                     for operator, batch in batches]
-                reports = []
                 for dispatch in dispatches:
                     report = yield dispatch
                     reports.append(report)
                 return reports
-            reports = []
-            for operator, batch in batches:
-                report = yield from self.dispatch_batch(operator.action,
-                                                        batch)
-                reports.append(report)
-            return reports
-        reports = []
-        for operator in operators:
-            batch = operator.drain()
+            drained = iter(batches)
+        for operator, batch in drained:
             if batch:
                 report = yield from self.dispatch_batch(operator.action,
                                                         batch)
@@ -445,7 +452,8 @@ class Dispatcher:
         return reports
 
     # ------------------------------------------------------------------
-    # One batch: probe -> schedule -> execute
+    # One batch: shed expired -> admit devices -> probe -> partition ->
+    # schedule -> execute -> tally and report
     # ------------------------------------------------------------------
     def dispatch_batch(
         self, action: ActionDefinition, batch: List[ActionRequest]
@@ -463,93 +471,144 @@ class Dispatcher:
         self, action: ActionDefinition, batch: List[ActionRequest],
         batch_span: Any,
     ) -> Generator[Any, Any, DispatchReport]:
+        """Run one batch through the dispatch stages, in order."""
         batch_started = self.env.now
-        policy = self.config.retry
-        if self.overload is not None:
-            # Shed already-expired requests before spending probe and
-            # scheduling work on them — a late answer has no value.
-            alive: List[ActionRequest] = []
-            for request in batch:
-                if request.deadline_expired(batch_started):
-                    self.shed_request(request, REASON_DEADLINE)
-                else:
-                    alive.append(request)
-            batch = alive
-        if policy.failover:
+        batch = self._shed_expired(batch)
+        if self.config.retry.failover:
             # Failover re-dispatch re-enters through the shared
             # operator, so make sure it exists even for direct callers.
             self.operator_for(action)
-        devices = self._candidate_devices(batch)
+        devices, quarantined_skipped = self._admit_devices(batch)
+        statuses = yield from self._probe(devices, batch_span)
+        pairs, unschedulable, failed_over = self._partition(batch, statuses)
+        attempts_before = self.attempts_total
+        retries_before = self.retries_total
+        scheduler = self.scheduler
+        scheduling_seconds = 0.0
+        serviced = failed = 0
+        if pairs:
+            scheduler, schedule = self._schedule(
+                action, pairs, devices, statuses, batch_started, batch_span)
+            scheduling_seconds = schedule.scheduling_seconds
+            yield from self._execute(action, schedule, pairs, devices,
+                                     batch_span)
+            serviced, failed, requeued = self._tally(pairs)
+            failed_over += requeued
+        report = DispatchReport(
+            action_name=action.name,
+            batch_size=len(batch),
+            scheduled=len(pairs),
+            unschedulable=unschedulable,
+            serviced=serviced,
+            failed=failed,
+            scheduling_seconds=scheduling_seconds,
+            batch_started_at=batch_started,
+            batch_finished_at=self.env.now,
+            cache_stats=scheduler.last_cache_stats if pairs else None,
+            attempts=self.attempts_total - attempts_before,
+            retries=self.retries_total - retries_before,
+            failed_over=failed_over,
+            quarantined_skipped=quarantined_skipped,
+        )
+        self._record_report(report, scheduler.name)
+        return report
 
-        # Quarantine gate: a device with an open circuit breaker is
-        # excluded before probing — it gets no traffic at all until its
-        # backoff window expires and a probation probe readmits it.
+    def _shed_expired(self,
+                      batch: List[ActionRequest]) -> List[ActionRequest]:
+        """Stage 1: shed expired requests before spending probe and
+        scheduling work on them — a late answer has no value."""
+        if self.overload is None:
+            return batch
+        alive: List[ActionRequest] = []
+        for request in batch:
+            if request.deadline_expired(self.env.now):
+                self.shed_request(request, REASON_DEADLINE)
+            else:
+                alive.append(request)
+        return alive
+
+    def _admit_devices(
+        self, batch: List[ActionRequest]
+    ) -> Tuple[Dict[str, Device], int]:
+        """Stage 2: the batch's candidate devices and how many of them
+        the quarantine gate skipped.
+
+        A device with an open circuit breaker is excluded before
+        probing — it gets no traffic at all until its backoff window
+        expires and a probation probe readmits it.
+        """
+        devices: Dict[str, Device] = {}
+        for request in batch:
+            for device_id in request.candidates:
+                if device_id not in devices:
+                    devices[device_id] = self.comm.registry.get(device_id)
         quarantined_skipped = 0
         if self.health is not None:
             for device_id in list(devices):
                 if not self.health.allow_candidate(device_id):
                     del devices[device_id]
                     quarantined_skipped += 1
+        return devices, quarantined_skipped
 
-        statuses: Dict[str, Dict[str, float]] = {}
-        available: set[str] = set()
-        if self.config.probing:
-            device_list = list(devices.values())
-            to_probe = device_list
-            if self.status_cache is not None:
-                # Fresh cache entries stand in for the probe exchange:
-                # the device was seen within its type's TTL, so cost it
-                # from that status and skip the wire round-trips.
-                to_probe = []
-                for device in device_list:
-                    cached = self.status_cache.lookup(device)
-                    if cached is not None:
-                        available.add(device.device_id)
-                        statuses[device.device_id] = cached
-                    else:
-                        to_probe.append(device)
-            results = yield from self.comm.prober.probe_all(
-                to_probe, parent_span=batch_span)
-            for device, result in zip(to_probe, results):
-                if result.available:
-                    available.add(device.device_id)
-                    statuses[device.device_id] = result.status
-                    if self.status_cache is not None:
-                        self.status_cache.store(device, result.status)
-                else:
-                    if self.status_cache is not None:
-                        self.status_cache.invalidate(
-                            device.device_id, reason="probe-failure")
-                    self.tracer.record(
-                        self.env.now, "probe_failed",
-                        device=device.device_id, error=result.error)
-        else:
+    def _probe(
+        self, devices: Dict[str, Device], batch_span: Any,
+    ) -> Generator[Any, Any, Dict[str, Dict[str, float]]]:
+        """Stage 3: the status of each device found available."""
+        if not self.config.probing:
             # Probing disabled: the optimizer has no availability
             # information, so every candidate is assumed reachable and
             # costed from its last-known status; execution on a dead
             # device then fails (the Section 4 ablation).
-            for device_id, device in devices.items():
-                available.add(device_id)
-                statuses[device_id] = device.physical_status()
+            return {device_id: device.physical_status()
+                    for device_id, device in devices.items()}
+        statuses: Dict[str, Dict[str, float]] = {}
+        to_probe = list(devices.values())
+        if self.status_cache is not None:
+            # Fresh cache entries stand in for the probe exchange:
+            # the device was seen within its type's TTL, so cost it
+            # from that status and skip the wire round-trips.
+            to_probe = []
+            for device in devices.values():
+                cached = self.status_cache.lookup(device)
+                if cached is not None:
+                    statuses[device.device_id] = cached
+                else:
+                    to_probe.append(device)
+        results = yield from self.comm.prober.probe_all(
+            to_probe, parent_span=batch_span)
+        for device, result in zip(to_probe, results):
+            if result.available:
+                statuses[device.device_id] = result.status
+                if self.status_cache is not None:
+                    self.status_cache.store(device, result.status)
+            else:
+                if self.status_cache is not None:
+                    self.status_cache.invalidate(
+                        device.device_id, reason="probe-failure")
+                self.tracer.record(
+                    self.env.now, "probe_failed",
+                    device=device.device_id, error=result.error)
+        return statuses
 
-        schedulable: List[ActionRequest] = []
-        usable: Dict[str, Tuple[str, ...]] = {}
-        unschedulable = 0
-        failed_over = 0
+    def _partition(
+        self, batch: List[ActionRequest],
+        statuses: Dict[str, Dict[str, float]],
+    ) -> Tuple[List[Tuple[ActionRequest, Tuple[str, ...]]], int, int]:
+        """Stage 4: ``(request, available candidates)`` pairs to schedule,
+        plus counts of requests failed and re-queued for want of one."""
+        pairs: List[Tuple[ActionRequest, Tuple[str, ...]]] = []
+        unschedulable = failed_over = 0
         for request in batch:
             request.dispatches += 1
-            candidates = tuple(
-                device_id for device_id in request.candidates
-                if device_id in available)
+            candidates = tuple(device_id for device_id in request.candidates
+                               if device_id in statuses)
             if candidates:
-                if policy.failover:
-                    # Keep the full candidate set on the request: a
-                    # device that is merely down this batch may service
-                    # the request after a failover re-dispatch.
-                    usable[request.request_id] = candidates
-                else:
+                # With failover the request keeps its full candidate
+                # set: a device that is merely down this batch may
+                # service it after a failover re-dispatch.
+                if not self.config.retry.failover:
                     request.candidates = candidates
-                schedulable.append(request)
+                pairs.append((request, candidates))
             elif self._requeue_for_failover(request, None,
                                             "no available candidate"):
                 # Backpressure on the re-queue sheds instead (handled
@@ -562,148 +621,133 @@ class Dispatcher:
                 self.completed.append(request)
                 self.failed_total += 1
                 unschedulable += 1
+        return pairs, unschedulable, failed_over
 
-        attempts_before = self.attempts_total
-        retries_before = self.retries_total
-        scheduling_seconds = 0.0
-        serviced = failed = 0
+    def _schedule(
+        self, action: ActionDefinition,
+        pairs: List[Tuple[ActionRequest, Tuple[str, ...]]],
+        devices: Dict[str, Device],
+        statuses: Dict[str, Dict[str, float]],
+        batch_started: float, batch_span: Any,
+    ) -> Tuple[Scheduler, Schedule]:
+        """Stage 5: assign each request a device; returns the scheduler
+        that ran and its schedule."""
         scheduler = self.scheduler
-        if schedulable:
-            if self.config.incremental:
-                # Warm-start path: one adapter + memoizing cache +
-                # incremental scheduler persist across this action's
-                # batches; only the probed world is swapped in.
-                state = self._incremental_state(action)
-                state.adapter.rebind(devices, statuses)
-                cost_model: SchedulingCostModel = state.adapter
-                scheduler = state.scheduler
-            else:
-                cost_model = _ActionCostAdapter(self.cost_model, action,
-                                                devices, statuses)
-            problem = Problem(
-                requests=tuple(
-                    SchedRequest(request_id=r.request_id,
-                                 candidates=(usable[r.request_id]
-                                             if policy.failover
-                                             else r.candidates),
-                                 payload=r)
-                    for r in schedulable),
-                device_ids=tuple(device_id for device_id in devices
-                                 if device_id in available),
-                cost_model=cost_model,
-                label=f"batch:{action.name}@{batch_started}",
-            )
-            with self.obs.span(
-                    "dispatch.schedule",
-                    parent=batch_span if isinstance(batch_span, SpanContext)
-                    else None,
-                    algorithm=scheduler.name,
-                    size=len(schedulable)):
-                schedule = scheduler.schedule(problem)
-            scheduling_seconds = schedule.scheduling_seconds
-            for request in schedulable:
-                request.mark_assigned(schedule.device_of(request.request_id))
+        if self.config.incremental:
+            # Warm-start path: one adapter + memoizing cache +
+            # incremental scheduler persist across this action's
+            # batches; only the probed world is swapped in.
+            state = self._incremental_state(action)
+            state.adapter.rebind(devices, statuses)
+            cost_model: SchedulingCostModel = state.adapter
+            scheduler = state.scheduler
+        else:
+            cost_model = _ActionCostAdapter(self.cost_model, action,
+                                            devices, statuses)
+        problem = Problem(
+            requests=tuple(
+                SchedRequest(request_id=request.request_id,
+                             candidates=candidates, payload=request)
+                for request, candidates in pairs),
+            device_ids=tuple(device_id for device_id in devices
+                             if device_id in statuses),
+            cost_model=cost_model,
+            label=f"batch:{action.name}@{batch_started}",
+        )
+        with self.obs.span("dispatch.schedule", parent=batch_span,
+                           algorithm=scheduler.name, size=len(pairs)):
+            schedule = scheduler.schedule(problem)
+        for request, _ in pairs:
+            request.mark_assigned(schedule.device_of(request.request_id))
+        return scheduler, schedule
 
-            by_id = {r.request_id: r for r in schedulable}
-            executions = []
-            if self.config.locking:
-                for device_id, queue in schedule.assignments.items():
-                    if not queue:
-                        continue
-                    requests = [by_id[request_id] for request_id in queue]
-                    if self.overload is not None:
-                        # Service high tiers first within each device
-                        # queue (stable, so the scheduler's order is
-                        # kept within a tier) — under pressure the
-                        # work most worth doing completes first.
-                        requests.sort(key=_service_order)
-                    executions.append(self.env.process(
-                        self._service_queue(
-                            action, devices[device_id], requests,
-                            batch_span)
-                    ).defuse())
-            else:
+    def _execute(
+        self, action: ActionDefinition, schedule: Schedule,
+        pairs: List[Tuple[ActionRequest, Tuple[str, ...]]],
+        devices: Dict[str, Device], batch_span: Any,
+    ) -> Generator[Any, Any, None]:
+        """Stage 6: run every assignment and wait for all of them."""
+        by_id = {request.request_id: request for request, _ in pairs}
+        executions = []
+        for device_id, queue in schedule.assignments.items():
+            if not queue:
+                continue
+            device = devices[device_id]
+            requests = [by_id[request_id] for request_id in queue]
+            if not self.config.locking:
                 # Unsynchronized: every request fires immediately and
                 # concurrently — the Section 6.2 interference mode.
-                for device_id, queue in schedule.assignments.items():
-                    for request_id in queue:
-                        executions.append(self.env.process(
-                            self._service_unlocked(
-                                action, devices[device_id],
-                                by_id[request_id], batch_span)).defuse())
-            for execution in executions:
-                yield execution
-            if self.config.incremental:
-                # Executing moved every serviced device's head: its
-                # previous placements and cached estimates are stale.
-                # (The status cache, when on, also signals this via its
-                # invalidation listener; marking is idempotent.)
-                for device_id, queue in schedule.assignments.items():
-                    if queue:
-                        self._mark_dirty(device_id)
-            for request in schedulable:
-                if request.state is RequestState.SERVICED:
-                    serviced += 1
-                elif request.state is RequestState.PENDING:
-                    # Requeued for failover: alive, completes later.
-                    failed_over += 1
-                    continue
-                elif request.state is RequestState.SHED:
-                    # shed_request already completed and counted it.
-                    continue
-                else:
-                    failed += 1
-                self.completed.append(request)
-            self.serviced_total += serviced
-            self.failed_total += failed
+                executions.extend(
+                    self.env.process(self._execute_one(
+                        action, device, request, batch_span)).defuse()
+                    for request in requests)
+                continue
+            if self.overload is not None:
+                # Service high tiers first within each device queue
+                # (stable, so the scheduler's order is kept within a
+                # tier) — under pressure the work most worth doing
+                # completes first.
+                requests.sort(key=_service_order)
+            executions.append(self.env.process(self._service_queue(
+                action, device, requests, batch_span)).defuse())
+        for execution in executions:
+            yield execution
+        if self._incremental:
+            # Executing moved every serviced device's head: its
+            # previous placements and cached estimates are stale.
+            # (The status cache, when on, also signals this via its
+            # invalidation listener; marking is idempotent.)
+            for device_id, queue in schedule.assignments.items():
+                if queue:
+                    self._mark_dirty(device_id)
 
-        report = DispatchReport(
-            action_name=action.name,
-            batch_size=len(batch),
-            scheduled=len(schedulable),
-            unschedulable=unschedulable,
-            serviced=serviced,
-            failed=failed,
-            scheduling_seconds=scheduling_seconds,
-            batch_started_at=batch_started,
-            batch_finished_at=self.env.now,
-            cache_stats=(scheduler.last_cache_stats
-                         if schedulable else None),
-            attempts=self.attempts_total - attempts_before,
-            retries=self.retries_total - retries_before,
-            failed_over=failed_over,
-            quarantined_skipped=quarantined_skipped,
-        )
+    def _tally(
+        self, pairs: List[Tuple[ActionRequest, Tuple[str, ...]]]
+    ) -> Tuple[int, int, int]:
+        """Stage 7: log completed requests; returns the serviced, failed
+        and re-queued-for-failover counts."""
+        serviced = failed = requeued = 0
+        for request, _ in pairs:
+            if request.state is RequestState.SERVICED:
+                serviced += 1
+            elif request.state is RequestState.PENDING:
+                # Requeued for failover: alive, completes later.
+                requeued += 1
+                continue
+            elif request.state is RequestState.SHED:
+                # shed_request already completed and counted it.
+                continue
+            else:
+                failed += 1
+            self.completed.append(request)
+        self.serviced_total += serviced
+        self.failed_total += failed
+        return serviced, failed, requeued
+
+    def _record_report(self, report: DispatchReport,
+                       algorithm: str) -> None:
+        """Stage 7, continued: keep the report, count it, trace it."""
         self.reports.append(report)
+        failed = report.failed + report.unschedulable
         obs = self.obs
         if obs.enabled:
-            obs.inc("dispatch.batches", action=action.name)
-            obs.observe("dispatch.batch_size", len(batch),
-                        action=action.name)
-            obs.inc("dispatch.requests_serviced", serviced)
-            obs.inc("dispatch.requests_failed", failed + unschedulable)
-            obs.inc("dispatch.requests_failed_over", failed_over)
-            obs.inc("dispatch.quarantined_skipped", quarantined_skipped)
+            action = report.action_name
+            obs.inc("dispatch.batches", action=action)
+            obs.observe("dispatch.batch_size", report.batch_size,
+                        action=action)
+            obs.inc("dispatch.requests_serviced", report.serviced)
+            obs.inc("dispatch.requests_failed", failed)
+            obs.inc("dispatch.requests_failed_over", report.failed_over)
+            obs.inc("dispatch.quarantined_skipped",
+                    report.quarantined_skipped)
             obs.observe("dispatch.makespan_seconds",
                         report.makespan_seconds)
             obs.observe("dispatch.scheduling_wallclock_seconds",
-                        scheduling_seconds,
-                        algorithm=scheduler.name)
+                        report.scheduling_seconds, algorithm=algorithm)
         self.tracer.record(
-            self.env.now, "batch_dispatched", action=action.name,
-            size=len(batch), serviced=serviced,
-            failed=failed + unschedulable)
-        return report
-
-    def _candidate_devices(
-        self, batch: List[ActionRequest]
-    ) -> Dict[str, Device]:
-        devices: Dict[str, Device] = {}
-        for request in batch:
-            for device_id in request.candidates:
-                if device_id not in devices:
-                    devices[device_id] = self.comm.registry.get(device_id)
-        return devices
+            self.env.now, "batch_dispatched", action=report.action_name,
+            size=report.batch_size, serviced=report.serviced,
+            failed=failed)
 
     # ------------------------------------------------------------------
     # Execution
@@ -741,28 +785,23 @@ class Dispatcher:
                         # while queued behind the dead device is shed,
                         # not failed or leaked back into pending.
                         self.shed_request(waiting, REASON_DEADLINE)
-                        continue
-                    if not self._requeue_for_failover(
+                    elif not self._requeue_for_failover(
                             waiting, device.device_id,
                             "queue drained after device failure"):
-                        waiting.mark_failed(
-                            self.env.now,
+                        self._fail_request(
+                            waiting, device.device_id,
                             f"device {device.device_id!r} failed while "
                             f"request was queued")
-                        self.tracer.record(
-                            self.env.now, "request_failed",
-                            request=waiting.request_id,
-                            action=waiting.action_name,
-                            device=device.device_id,
-                            query=waiting.query_id,
-                            reason=waiting.failure_reason)
                 break
 
-    def _service_unlocked(
-        self, action: ActionDefinition, device: Device,
-        request: ActionRequest, batch_span: Any = None,
-    ) -> Generator[Any, Any, None]:
-        yield from self._execute_one(action, device, request, batch_span)
+    def _fail_request(self, request: ActionRequest, device_id: str,
+                      reason: str) -> None:
+        """Mark ``request`` failed on ``device_id`` and trace it."""
+        request.mark_failed(self.env.now, reason)
+        self.tracer.record(
+            self.env.now, "request_failed", request=request.request_id,
+            action=request.action_name, device=device_id,
+            query=request.query_id, reason=reason)
 
     def _execute_one(
         self, action: ActionDefinition, device: Device,
@@ -777,17 +816,13 @@ class Dispatcher:
         once attempts are exhausted, failover (if enabled) re-queues the
         request for the next batch minus the failed device.
         """
-        policy = self.config.retry
         execute_span = self.obs.span(
-            "dispatch.execute",
-            parent=batch_span if isinstance(batch_span, SpanContext)
-            else None,
-            detached=True,
+            "dispatch.execute", parent=batch_span, detached=True,
             request=request.request_id, device=device.device_id)
         with execute_span:
             try:
-                yield from self._execute_attempts(action, device, request,
-                                                  policy)
+                failure = yield from self._execute_attempts(
+                    action, device, request, self.config.retry)
             finally:
                 if self.status_cache is not None:
                     # Executing on the device changed its physical
@@ -796,24 +831,28 @@ class Dispatcher:
                     # whatever the outcome.
                     self.status_cache.invalidate(device.device_id,
                                                  reason="execution")
-        if request.state in (RequestState.PENDING, RequestState.SHED):
-            # PENDING: requeued for failover — completion is traced by
-            # the batch that finally services (or fails) it. SHED: the
-            # failover re-queue hit backpressure and shed_request
-            # already traced and completed it.
-            return
-        kind = ("request_serviced" if request.state is RequestState.SERVICED
-                else "request_failed")
-        self.tracer.record(
-            self.env.now, kind, request=request.request_id,
-            action=request.action_name, device=device.device_id,
-            query=request.query_id, reason=request.failure_reason)
+        if failure is not None:
+            self._fail_request(request, device.device_id, failure)
+        elif request.state is RequestState.SERVICED:
+            self.tracer.record(
+                self.env.now, "request_serviced",
+                request=request.request_id, action=request.action_name,
+                device=device.device_id, query=request.query_id,
+                reason=request.failure_reason)
+        # Otherwise the request is PENDING, requeued for failover (the
+        # batch that finally services or fails it traces that), or
+        # SHED, because the failover re-queue hit backpressure and
+        # shed_request already traced and completed it.
 
     def _execute_attempts(
         self, action: ActionDefinition, device: Device,
         request: ActionRequest, policy: RetryPolicy,
-    ) -> Generator[Any, Any, None]:
-        """The attempt/retry/failover loop of one request execution."""
+    ) -> Generator[Any, Any, Optional[str]]:
+        """The attempt/retry/failover loop of one request execution.
+
+        Returns the failure reason when the request failed for good,
+        None when it was serviced or re-queued for failover.
+        """
         attempt = 0
         while True:
             attempt += 1
@@ -833,7 +872,7 @@ class Dispatcher:
                 if self.health is not None:
                     self.health.record_success(device.device_id)
                 request.mark_serviced(self.env.now, result)
-                return
+                return None
             if transient and self.health is not None:
                 self.health.record_failure(device.device_id,
                                            reason=mark_reason)
@@ -854,9 +893,8 @@ class Dispatcher:
                 continue
             if transient and self._requeue_for_failover(
                     request, device.device_id, mark_reason):
-                return
-            request.mark_failed(self.env.now, mark_reason)
-            return
+                return None
+            return mark_reason
 
     def _requeue_for_failover(
         self, request: ActionRequest, failed_device: Optional[str],

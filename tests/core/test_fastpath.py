@@ -77,12 +77,6 @@ def drive(engine, until):
 
 
 class TestConfigValidation:
-    def test_fastpath_property(self):
-        assert not EngineConfig().comm_fastpath
-        assert EngineConfig(connection_pool=True).comm_fastpath
-        assert EngineConfig(status_cache=True).comm_fastpath
-        assert EngineConfig(concurrent_dispatch=True).comm_fastpath
-
     def test_pool_knobs_validated(self):
         with pytest.raises(AortaError, match="pool_capacity"):
             EngineConfig(pool_capacity=0)

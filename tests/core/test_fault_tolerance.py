@@ -72,10 +72,6 @@ def test_retry_policy_backoff_shape():
 
 def test_default_policy_is_disabled():
     assert not RetryPolicy().enabled
-    assert not EngineConfig().fault_tolerance
-    assert EngineConfig(
-        retry=RetryPolicy(max_attempts=2)).fault_tolerance
-    assert EngineConfig(health=HealthPolicy()).fault_tolerance
 
 
 # ----------------------------------------------------------------------

@@ -84,12 +84,12 @@ def continuous_outage_scenario(
     cam1 goes offline 8s..24s (long enough to be quarantined and later
     readmitted on probation); cam2 crashes 14s..20s. Runs 70 virtual
     seconds; requests carry explicit ids r01.. so dumps are readable.
+    Extra keyword arguments pass through to :class:`EngineConfig` and
+    override the settings above (e.g. ``probing=True``).
     """
     env = env if env is not None else Environment()
-    config = _config(
-        observability,
+    settings = dict(
         probing=False,
-        **config_kwargs,
         retry=RetryPolicy(max_attempts=2, backoff_base=0.5,
                           backoff_factor=2.0, backoff_max=4.0,
                           jitter=0.1, failover=True, max_dispatches=4),
@@ -97,6 +97,8 @@ def continuous_outage_scenario(
                             backoff_factor=2.0, quarantine_max=40.0),
         lock_lease_seconds=30.0,
     )
+    settings.update(config_kwargs)
+    config = _config(observability, **settings)
     engine = AortaEngine(env, config=config, seed=0)
     cameras = []
     for index in range(3):
@@ -170,13 +172,15 @@ def overload_storm_scenario(observability: Optional[bool] = None,
     tier-2 deadlines expire in queue (request_shed); and a second
     tier-1 AQ registration trips the registration rate limit
     (query_rejected). Fully deterministic; runs 40 virtual seconds.
+    Extra keyword arguments pass through to :class:`EngineConfig` and
+    may replace ``overload_policy``.
     """
     env = env if env is not None else Environment()
     engine = AortaEngine(
         env,
-        config=_config(observability, overload=True,
-                       overload_policy=OVERLOAD_STORM_POLICY,
-                       **config_kwargs),
+        config=_config(observability, **{
+            "overload": True, "overload_policy": OVERLOAD_STORM_POLICY,
+            **config_kwargs}),
         seed=0)
     cameras = []
     for index in range(4):
